@@ -29,7 +29,7 @@
 
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
-use resacc_service::{spawn, ServerBackend, ServerConfig};
+use resacc_service::{spawn, ServerConfig};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -112,7 +112,6 @@ fn main() {
         session,
         ServerConfig {
             workers,
-            backend: ServerBackend::Event,
             max_conns: top + 16,
             idle_timeout_ms: 0, // parked sockets must survive the whole run
             ..ServerConfig::default()

@@ -32,7 +32,7 @@ use resacc::durability::{open_dir, DurabilityOptions, RecoveryStats};
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
 use resacc_service::loadgen::{self, LoadgenConfig};
-use resacc_service::{spawn, ServerBackend, ServerConfig};
+use resacc_service::{spawn, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -164,7 +164,6 @@ fn write_mix_run(
         session.clone(),
         ServerConfig {
             workers: 16,
-            backend: ServerBackend::Event,
             max_conns: connections + 8,
             ..ServerConfig::default()
         },

@@ -61,10 +61,6 @@ serve options:
   --fsync <always|never>              fsync the WAL on every append
                                       (default always; never = durable
                                       against crashes, not power loss)
-  --backend <event|threaded>          connection engine (default event:
-                                      readiness-driven loop, O(workers)
-                                      threads at any connection count;
-                                      threaded = thread per connection)
   --group-commit-window <ms|off>      coalesce concurrent mutation appends
                                       into one batched fsync; acks release
                                       only after the shared fsync (default
@@ -173,8 +169,9 @@ loadgen options:
                                       don't fail, on shed/timeout/panic)
   --via-router                        router audit mode: queries after an
                                       acked write carry min_version (read-
-                                      your-writes) and responses are
-                                      checked for violations
+                                      your-writes), responses are checked
+                                      for violations, and the cache hit
+                                      rate sums the router's backends
   --shutdown                          shut the server down after the run and
                                       report drain latency";
 
@@ -242,7 +239,6 @@ pub struct Cli {
     pub delete_mix: f64,
     pub dynamic_eps: f64,
     pub dynamic_delta: f64,
-    pub backend: String,
     pub group_commit_window: Option<u64>,
     pub timeout_ms: u64,
     pub via_router: bool,
@@ -328,7 +324,6 @@ impl Cli {
             delete_mix: 0.0,
             dynamic_eps: 0.0,
             dynamic_delta: 1e-4,
-            backend: "event".into(),
             group_commit_window: None,
             timeout_ms: 0,
             via_router: false,
@@ -419,16 +414,6 @@ impl Cli {
                 }
                 "--dynamic-delta" => {
                     cli.dynamic_delta = parse_num(&value("--dynamic-delta")?, "--dynamic-delta")?
-                }
-                "--backend" => {
-                    cli.backend = match value("--backend")?.as_str() {
-                        b @ ("event" | "threaded") => b.to_string(),
-                        other => {
-                            return Err(format!(
-                                "--backend expects event|threaded, got {other:?}"
-                            ))
-                        }
-                    }
                 }
                 "--group-commit-window" => {
                     cli.group_commit_window = match value("--group-commit-window")?.as_str() {
@@ -721,18 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_group_commit_flags() {
-        // Defaults: event loop, group commit off (one fsync per mutation).
+    fn group_commit_flags() {
+        // Default: group commit off (one fsync per mutation).
         let cli = parse("serve --graph g.txt").unwrap();
-        assert_eq!(cli.backend, "event");
         assert_eq!(cli.group_commit_window, None);
-
-        let cli = parse("serve --graph g.txt --backend threaded").unwrap();
-        assert_eq!(cli.backend, "threaded");
-        let cli = parse("serve --graph g.txt --backend event").unwrap();
-        assert_eq!(cli.backend, "event");
-        assert!(parse("serve --graph g.txt --backend green-threads").is_err());
-        assert!(parse("serve --graph g.txt --backend").is_err());
 
         let cli = parse("serve --graph g.txt --group-commit-window 2").unwrap();
         assert_eq!(cli.group_commit_window, Some(2));

@@ -382,11 +382,6 @@ pub fn serve(cli: &Cli) -> Result<(), String> {
         replication: None,
         dynamic_eps: cli.dynamic_eps,
         dynamic_delta: cli.dynamic_delta,
-        backend: if cli.backend == "threaded" {
-            resacc_service::ServerBackend::Threaded
-        } else {
-            resacc_service::ServerBackend::Event
-        },
         ..resacc_service::ServerConfig::default()
     };
     // The tenant registry: the default tenant plus every manifest entry,
@@ -910,7 +905,6 @@ mod tests {
             delete_mix: 0.0,
             dynamic_eps: 0.0,
             dynamic_delta: 1e-4,
-            backend: "event".into(),
             group_commit_window: None,
             timeout_ms: 0,
             via_router: false,

@@ -7,8 +7,11 @@ fn rwr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rwr"))
 }
 
-fn temp_graph() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-e2e-{}", std::process::id()));
+/// Writes the shared test graph into a directory of the caller's own:
+/// tests run in parallel threads, so a shared path would let one test
+/// read a graph another is still writing.
+fn temp_graph(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rwr-e2e-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.txt");
     let g = resacc_graph::gen::barabasi_albert(500, 4, 33);
@@ -18,7 +21,7 @@ fn temp_graph() -> PathBuf {
 
 #[test]
 fn query_prints_topk_with_source_first() {
-    let graph = temp_graph();
+    let graph = temp_graph("topk");
     let out = rwr()
         .args(["query", "--graph"])
         .arg(&graph)
@@ -35,7 +38,7 @@ fn query_prints_topk_with_source_first() {
 
 #[test]
 fn query_is_deterministic_per_seed() {
-    let graph = temp_graph();
+    let graph = temp_graph("determinism");
     let run = |seed: &str| {
         let out = rwr()
             .args(["query", "--graph"])
@@ -57,7 +60,7 @@ fn query_is_deterministic_per_seed() {
 
 #[test]
 fn pair_and_stats_succeed() {
-    let graph = temp_graph();
+    let graph = temp_graph("pair-stats");
     let out = rwr()
         .args(["pair", "--graph"])
         .arg(&graph)
@@ -76,7 +79,7 @@ fn pair_and_stats_succeed() {
 
 #[test]
 fn convert_then_query_binary() {
-    let graph = temp_graph();
+    let graph = temp_graph("convert");
     let racg = graph.with_extension("racg");
     let out = rwr()
         .args(["convert", "--graph"])
@@ -103,7 +106,7 @@ fn serve_answers_queries_matching_a_direct_session() {
     use std::net::TcpStream;
     use std::process::Stdio;
 
-    let graph_path = temp_graph();
+    let graph_path = temp_graph("serve");
 
     // The ground truth: the same graph, parameters, and seed, queried
     // directly in-process. The server must reproduce this bit-for-bit.
@@ -189,7 +192,7 @@ fn loadgen_reports_against_live_server() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
 
-    let graph_path = temp_graph();
+    let graph_path = temp_graph("loadgen");
     let mut child = rwr()
         .args(["serve", "--graph"])
         .arg(&graph_path)
@@ -249,7 +252,7 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     use std::net::TcpStream;
     use std::process::Stdio;
 
-    let graph_path = temp_graph();
+    let graph_path = temp_graph("threads-replay");
 
     let spawn_serve = |extra: &[&str]| -> (std::process::Child, String) {
         let mut child = rwr()

@@ -17,6 +17,7 @@
 //! address): two processes retrying the same endpoint jitter identically,
 //! different endpoints jitter differently.
 
+use crate::par::splitmix64;
 use std::time::Duration;
 
 /// Bounds for one backoff schedule: first delay ~`start`, doubling to a
@@ -49,17 +50,10 @@ impl BackoffPolicy {
     pub fn delay(&self, seed: u64, attempt: u32) -> Duration {
         let envelope = self.envelope(attempt).as_millis() as u64;
         let half = envelope / 2;
-        let jitter = mix(seed ^ u64::from(attempt).wrapping_mul(0x9e3779b97f4a7c15)) % (half + 1);
+        let jitter =
+            splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x9e3779b97f4a7c15)) % (half + 1);
         Duration::from_millis(half + jitter)
     }
-}
-
-/// splitmix64 finalizer: the bijective mixer behind the jitter draw.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Folds a textual label (typically a peer address) into a backoff seed

@@ -23,9 +23,8 @@
 //!   [`metrics::Metrics::snapshot`] API.
 //! * [`server`] — newline-delimited-JSON-over-TCP front end (std only),
 //!   with bounded reads, idle timeouts, a connection cap, and graceful
-//!   drain shutdown. Two interchangeable connection engines: a
-//!   readiness-driven event loop (default; O(workers) threads at any
-//!   connection count) and the thread-per-connection reference.
+//!   drain shutdown, served by one readiness-driven event loop
+//!   (O(workers) threads at any connection count).
 //! * [`loadgen`] — Zipfian closed-loop load generator for the server,
 //!   including a chaos mode for fault-injection runs.
 //! * [`fault`] — deterministic, request-id-keyed fault injection
@@ -61,7 +60,7 @@ pub use scheduler::{
     effective_seed, splitmix64, threads_per_query_budget, ErrorKind, QueryRequest, QueryResponse,
     Scheduler, SchedulerConfig, ServiceError,
 };
-pub use server::{serve, serve_tenants, spawn, ServerBackend, ServerConfig, ServerHandle};
+pub use server::{serve, serve_tenants, spawn, ServerConfig, ServerHandle};
 pub use tenants::{Tenant, TenantFactory, TenantSeed, Tenants};
 
 use resacc::resacc::ResAccConfig;

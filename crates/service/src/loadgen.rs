@@ -184,9 +184,11 @@ pub struct LoadgenReport {
     pub p95_ms: f64,
     /// Client-observed p99 latency, milliseconds.
     pub p99_ms: f64,
-    /// Server-reported cache hit rate at run end, in [0, 1].
+    /// Server-reported cache hit rate at run end, in [0, 1] (with
+    /// `via_router`, over every backend the router lists).
     pub server_hit_rate: f64,
-    /// Server-reported coalesced request count at run end.
+    /// Server-reported coalesced request count at run end (summed the
+    /// same way).
     pub server_coalesced: u64,
 }
 
@@ -311,8 +313,8 @@ fn connect_with_timeout(addr: &str, timeout_ms: u64) -> std::io::Result<TcpStrea
     Ok(stream)
 }
 
-/// Asks the server how many nodes the tenant's graph has (`stats` op).
-fn fetch_nodes(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
+/// One `stats` exchange for tenant `ns`; returns the whole response.
+fn fetch_stats(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<Json> {
     let mut stream = connect_with_timeout(addr, timeout_ms)?;
     let request = if ns == DEFAULT_NAMESPACE {
         "{\"op\":\"stats\"}\n".to_string()
@@ -322,9 +324,14 @@ fn fetch_nodes(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
     stream.write_all(request.as_bytes())?;
     let mut line = String::new();
     BufReader::new(&stream).read_line(&mut line)?;
-    Json::parse(line.trim())
-        .ok()
-        .and_then(|j| j.get("nodes").and_then(Json::as_u64))
+    Json::parse(line.trim()).map_err(std::io::Error::other)
+}
+
+/// Asks the server how many nodes the tenant's graph has (`stats` op).
+fn fetch_nodes(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
+    fetch_stats(addr, ns, timeout_ms)?
+        .get("nodes")
+        .and_then(Json::as_u64)
         .ok_or_else(|| std::io::Error::other("bad stats response"))
 }
 
@@ -377,21 +384,40 @@ fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> 
     fetch_nodes(addr, ns, timeout_ms)
 }
 
-/// Fetches (hit_rate, coalesced) from the server.
-fn fetch_cache_stats(addr: &str, timeout_ms: u64) -> (f64, u64) {
-    let stats = || -> std::io::Result<(f64, u64)> {
-        let mut stream = connect_with_timeout(addr, timeout_ms)?;
-        stream.write_all(b"{\"op\":\"stats\"}\n")?;
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line)?;
-        let j = Json::parse(line.trim()).map_err(std::io::Error::other)?;
-        let s = j.get("stats").ok_or_else(|| std::io::Error::other("no stats"))?;
-        Ok((
-            s.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0),
-            s.get("coalesced").and_then(Json::as_u64).unwrap_or(0),
-        ))
+/// Fetches (hit_rate, coalesced) from the server. Through a router the
+/// reads land on whichever backends it picks (replicas first), while a
+/// `stats` sent to the router answers for one backend only — so in
+/// router mode this asks each backend the router lists and sums their
+/// own counters.
+fn fetch_cache_stats(addr: &str, timeout_ms: u64, via_router: bool) -> (f64, u64) {
+    let Ok(top) = fetch_stats(addr, DEFAULT_NAMESPACE, timeout_ms) else {
+        return (0.0, 0);
     };
-    stats().unwrap_or((0.0, 0))
+    let servers: Vec<Json> = if via_router {
+        top.get("router")
+            .and_then(|r| r.get("backends"))
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|b| b.get("addr").and_then(Json::as_str))
+            .filter_map(|a| fetch_stats(a, DEFAULT_NAMESPACE, timeout_ms).ok())
+            .collect()
+    } else {
+        vec![top]
+    };
+    let (mut hits, mut lookups, mut coalesced) = (0u64, 0u64, 0u64);
+    for s in servers.iter().filter_map(|j| j.get("stats")) {
+        let count = |k: &str| s.get(k).and_then(Json::as_u64).unwrap_or(0);
+        hits += count("cache_hits");
+        lookups += count("cache_hits") + count("cache_misses");
+        coalesced += count("coalesced");
+    }
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    };
+    (hit_rate, coalesced)
 }
 
 /// Runs the load and reports client-side latency plus server-side cache
@@ -679,7 +705,8 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     } else {
         Vec::new()
     };
-    let (server_hit_rate, server_coalesced) = fetch_cache_stats(&config.addr, config.timeout_ms);
+    let (server_hit_rate, server_coalesced) =
+        fetch_cache_stats(&config.addr, config.timeout_ms, config.via_router);
     let drain_ms = if config.shutdown_after {
         Some(shutdown_and_measure_drain(&config.addr)?)
     } else {
@@ -996,6 +1023,42 @@ mod tests {
         assert_eq!(report.min_version_violations, 0);
         assert_eq!(report.stale, 0);
         handle_shutdown(router, backend);
+    }
+
+    /// Routed reads land on the replica, not on the primary that answers
+    /// the router's own `stats`: the reported hit rate must come from the
+    /// servers that did the work.
+    #[test]
+    fn via_router_reports_the_cluster_hit_rate() {
+        let mut cluster = crate::router::tests::wire_cluster(1, |_, _| {});
+        let router = crate::router::spawn(
+            "127.0.0.1:0",
+            crate::router::RouterConfig::new(cluster.backend_addrs()),
+        )
+        .unwrap();
+        let report = run(&LoadgenConfig {
+            addr: router.addr().to_string(),
+            requests: 120,
+            connections: 2,
+            sources: 8,
+            zipf_s: 1.2,
+            via_router: true,
+            timeout_ms: 5000,
+            ..LoadgenConfig::default()
+        })
+        .unwrap();
+        assert_eq!(report.completed, 120);
+        assert_eq!(report.errors, 0);
+        assert!(
+            report.server_hit_rate > 0.3,
+            "8 hot sources over 120 routed reads must mostly hit: {}",
+            report.server_hit_rate
+        );
+        router.shutdown().unwrap();
+        cluster.primary.take().unwrap().shutdown().unwrap();
+        for r in cluster.replicas.drain(..) {
+            r.shutdown().unwrap();
+        }
     }
 
     fn handle_shutdown(router: crate::router::RouterHandle, backend: crate::server::ServerHandle) {

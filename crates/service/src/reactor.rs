@@ -1,12 +1,11 @@
-//! Readiness-driven connection engine ([`crate::server::ServerBackend::Event`]).
+//! The server's connection engine: a readiness-driven event loop.
 //!
 //! One reactor thread multiplexes every connection over epoll (via the
 //! `mio` poller shim): nonblocking sockets, per-connection state machines
 //! that accumulate partial NDJSON lines and drain partial writes, and a
 //! small executor pool for blocking work. Thread count is
 //! `1 + workers` regardless of connection count — the property
-//! `bench_c10k` gates on — where the thread-per-connection engine needs
-//! one thread per open socket.
+//! `bench_c10k` gates on.
 //!
 //! ```text
 //!            ┌────────────────────────── reactor thread ─────────────────────────┐
@@ -19,15 +18,16 @@
 //!                                         scheduler.apply → group commit)
 //! ```
 //!
-//! ## Equivalence with the threaded engine
+//! ## Per-connection ordering
 //!
 //! Each connection processes its lines **strictly in order, one at a
 //! time**: while a query/mutation/promotion is in flight, later buffered
 //! lines wait — exactly the semantics of a dedicated connection thread
 //! executing them synchronously. Every response byte is rendered by the
-//! same `server.rs` helpers ([`route_line`], [`render_query_outcome`],
+//! `server.rs` helpers ([`route_line`], [`render_query_outcome`],
 //! [`apply_response`], [`promote_json`]). The equivalence suite replays
-//! identical workloads against both engines and diffs the bytes.
+//! fixed workloads and diffs the bytes against committed golden
+//! transcripts (`testdata/equivalence_*.ndjson`).
 //!
 //! ## Why mutations get a pool, not the reactor thread
 //!
@@ -44,7 +44,7 @@
 //!   not a thread; thousands of them leave latency for real clients
 //!   untouched (`bench_c10k`'s idle tiers measure exactly this).
 //! * **Idle timeout**: reaped when no byte arrives for `idle_timeout_ms`
-//!   and nothing is pending — same rule as the threaded engine.
+//!   and nothing is pending.
 //! * **Oversized lines**: one error response, then the connection drains
 //!   and closes; the partial line is dropped, never buffered unboundedly.
 //! * **EOF**: buffered complete lines are still answered (half-close
@@ -137,7 +137,7 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Sequence number of the one in-flight asynchronous op, if any.
     /// While set, later buffered lines are *not* routed — per-connection
-    /// ordering is exactly the threaded engine's.
+    /// ordering is exactly that of a thread serving the connection alone.
     awaiting: Option<u64>,
     /// Last moment a byte arrived (the idle clock).
     last_activity: Instant,
@@ -261,7 +261,7 @@ pub(crate) fn run(
     }
 
     // Listener-level counters (rejects, accept errors) land on the
-    // default tenant's surface, matching the threaded engine.
+    // default tenant's surface.
     let listener_metrics = tenants.default_tenant().scheduler.metrics().clone();
     let mut ctx = Ctx {
         tenants,
@@ -330,6 +330,9 @@ pub(crate) fn run(
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
+                        // Pipelined responses must not wait on Nagle and
+                        // the peer's delayed ACK.
+                        let _ = stream.set_nodelay(true);
                         let id = next_conn;
                         next_conn += 1;
                         conns.insert(id, Conn::new(stream));
@@ -368,8 +371,7 @@ pub(crate) fn run(
 
         // A shutdown op flipped `stopping` this iteration: stop accepting
         // and put every connection into drain — each still answers the
-        // complete lines it has already read, exactly like a threaded
-        // handler observing the stop flag.
+        // complete lines it has already read.
         if ctx.stopping && !was_stopping {
             if listener_registered {
                 let _ = poll.deregister(&listener);
@@ -503,8 +505,7 @@ fn read_ready(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                // Hard error: drop whatever is in flight, like a threaded
-                // handler returning on ReadStep::Failed.
+                // Hard error: drop whatever is in flight.
                 conn.rbuf.clear();
                 conn.wbuf.clear();
                 conn.awaiting = None;
@@ -535,8 +536,7 @@ fn advance(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
             LineOutcome::Respond(json) => conn.push_response(&json),
             LineOutcome::Shutdown(json) => {
                 conn.push_response(&json);
-                // The initiator answers nothing further — identical to a
-                // threaded handler returning right after the ack.
+                // The initiator answers nothing further after the ack.
                 conn.rbuf.clear();
                 conn.no_more_reads = true;
                 ctx.stopping = true;

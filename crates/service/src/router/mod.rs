@@ -437,8 +437,8 @@ pub fn spawn(addr: &str, config: RouterConfig) -> std::io::Result<RouterHandle> 
 }
 
 /// Handles one client connection; true when the client asked the router
-/// to shut down. Same buffered-line read loop as the server's threaded
-/// engine, so partial lines and idle timeouts behave identically.
+/// to shut down. Partial lines stay buffered until their newline arrives,
+/// and a connection idle past the timeout is closed, as on the server.
 fn handle_client(stream: TcpStream, inner: &Inner, stop: &AtomicBool) -> bool {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut read_half = match stream.try_clone() {
@@ -1077,7 +1077,7 @@ fn route_promote(id: Option<u64>, shard: &Arc<Shard>, inner: &Inner) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::server::{spawn as spawn_server, ServerConfig, ServerHandle};
     use resacc::replication::{
@@ -1103,14 +1103,17 @@ mod tests {
     /// One primary (core hub + replication listener + NDJSON server with
     /// a primary role) plus `n` replicas (sessions following the hub,
     /// each behind its own NDJSON server with a replica role).
-    struct Cluster {
-        primary: Option<ServerHandle>,
-        replicas: Vec<ServerHandle>,
+    pub(crate) struct Cluster {
+        pub(crate) primary: Option<ServerHandle>,
+        pub(crate) replicas: Vec<ServerHandle>,
         primary_session: Arc<RwrSession>,
         _repl_server: ReplicationServer,
     }
 
-    fn wire_cluster(n: usize, replica_cfg: impl Fn(usize, &mut ServerConfig)) -> Cluster {
+    pub(crate) fn wire_cluster(
+        n: usize,
+        replica_cfg: impl Fn(usize, &mut ServerConfig),
+    ) -> Cluster {
         let mut primary = RwrSession::new(graph());
         let hub = Arc::new(ReplicationHub::new(primary.version()));
         attach_hub(&mut primary, hub.clone());
@@ -1159,7 +1162,7 @@ mod tests {
     }
 
     impl Cluster {
-        fn backend_addrs(&self) -> Vec<String> {
+        pub(crate) fn backend_addrs(&self) -> Vec<String> {
             let mut v = vec![self.primary.as_ref().unwrap().addr().to_string()];
             v.extend(self.replicas.iter().map(|r| r.addr().to_string()));
             v

@@ -66,6 +66,7 @@ use crate::params_hash;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use resacc::durability::{DurabilityError, MutationOp};
+pub use resacc::par::splitmix64;
 use resacc::{Cancel, QueryError, RwrSession};
 use resacc_graph::NodeId;
 use std::collections::HashMap;
@@ -698,14 +699,6 @@ pub fn effective_seed(request: &QueryRequest) -> u64 {
         Some(s) => s,
         None => splitmix64(request.id),
     }
-}
-
-/// One splitmix64 step — the standard 64-bit bit-mixer.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[allow(clippy::too_many_arguments)]

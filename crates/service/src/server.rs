@@ -33,17 +33,20 @@
 //!   error response and the connection is closed — no unbounded buffering
 //!   for a client that never sends a newline.
 //! * Reads **time out**: an idle connection is closed after
-//!   `idle_timeout_ms`, and the short read-poll also makes every handler
-//!   responsive to shutdown within a poll interval.
-//! * Connections are **capped**: past `max_conns` concurrent handlers, new
+//!   `idle_timeout_ms`.
+//! * Connections are **capped**: past `max_conns` open connections, new
 //!   sockets get `{"ok":false,"error":"overloaded"}` and are closed
 //!   (counted in `rejected_conns`).
 //! * Accept errors are **counted and backed off** (`accept_errors`), so a
 //!   persistent condition like EMFILE cannot spin the listener at 100% CPU.
 //! * Shutdown **drains**: the listener stops accepting, every connection
-//!   handler finishes responding to the requests it has already read, the
-//!   handler threads are joined, and only then does the scheduler (which
+//!   finishes responding to the requests it has already read, the
+//!   executor threads are joined, and only then does the scheduler (which
 //!   answers everything in its queues) shut down.
+//!
+//! Connections are served by one readiness-driven event loop,
+//! [`crate::reactor`]; this module owns the routing and rendering it
+//! calls.
 
 use crate::fault::FaultPlan;
 use crate::json::Json;
@@ -54,9 +57,8 @@ use crate::tenants::{Tenant, Tenants};
 use resacc::durability::{MutationOp, RecoveryStats, DEFAULT_NAMESPACE};
 use resacc::topk::top_k;
 use resacc::RwrSession;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,22 +80,6 @@ pub(crate) fn accept_seed(listener: &TcpListener) -> u64 {
             .map(|a| a.to_string())
             .unwrap_or_default(),
     )
-}
-
-/// Which connection engine [`serve`] runs. Both speak the identical wire
-/// protocol through the same [`route_line`] dispatcher — the equivalence
-/// suite holds them bit-for-bit interchangeable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ServerBackend {
-    /// Readiness-driven event loop (the default): one reactor thread
-    /// multiplexes every connection over epoll, with a small executor pool
-    /// for blocking work (durable mutations, promotion). Thread count is
-    /// O(workers), independent of connection count — see [`crate::reactor`].
-    #[default]
-    Event,
-    /// One thread per connection — the original engine, kept as the
-    /// behavioral reference the event loop is proven equivalent to.
-    Threaded,
 }
 
 /// Server tuning knobs.
@@ -136,8 +122,6 @@ pub struct ServerConfig {
     pub dynamic_eps: f64,
     /// Offset-propagation push threshold δ (`--dynamic-delta`).
     pub dynamic_delta: f64,
-    /// Which connection engine to run (`--backend`).
-    pub backend: ServerBackend,
 }
 
 impl ServerConfig {
@@ -179,7 +163,6 @@ impl Default for ServerConfig {
             replication: None,
             dynamic_eps: 0.0,
             dynamic_delta: 1e-4,
-            backend: ServerBackend::default(),
         }
     }
 }
@@ -195,11 +178,11 @@ pub(crate) struct ConnLimits {
 
 /// Serves on `listener` until a client sends `{"op":"shutdown"}`.
 ///
-/// Blocking. The connection engine is chosen by [`ServerConfig::backend`];
-/// both engines share one [`Scheduler`] and the same drain contract:
-/// accepting stops, every connection finishes responding to the requests
-/// it has already read, then the scheduler drains its queues — every
-/// submitted request is answered before this returns.
+/// Blocking. Connections run on the [`crate::reactor`] event loop under
+/// the drain contract: accepting stops, every connection finishes
+/// responding to the requests it has already read, then the scheduler
+/// drains its queues — every submitted request is answered before this
+/// returns.
 pub fn serve(
     listener: TcpListener,
     session: Arc<RwrSession>,
@@ -218,8 +201,8 @@ pub fn serve(
 
 /// Serves a multi-tenant registry on `listener` until a client sends
 /// `{"op":"shutdown"}`. Requests route to their tenant by the optional
-/// `namespace` field (absent means `default`); both connection engines
-/// and the drain contract are exactly [`serve`]'s.
+/// `namespace` field (absent means `default`); the event loop and the
+/// drain contract are exactly [`serve`]'s.
 pub fn serve_tenants(
     listener: TcpListener,
     tenants: Arc<Tenants>,
@@ -233,11 +216,8 @@ pub fn serve_tenants(
             .then(|| Duration::from_millis(config.idle_timeout_ms)),
     };
 
-    match config.backend {
-        ServerBackend::Event => crate::reactor::run(listener, tenants.clone(), &config, limits)?,
-        ServerBackend::Threaded => serve_threaded(listener, tenants.clone(), &config, limits)?,
-    }
-    // All mutation sources are gone (both engines join their mutation
+    crate::reactor::run(listener, tenants.clone(), &config, limits)?;
+    // All mutation sources are gone (the reactor joins its executor
     // threads before returning), so checkpoint every tenant: snapshot at
     // the final version and truncate the WAL. A restart after this drain
     // replays zero records — clean shutdown never relies on recovery.
@@ -250,86 +230,6 @@ pub fn serve_tenants(
         }
     }
     Ok(())
-}
-
-/// The thread-per-connection engine ([`ServerBackend::Threaded`]).
-fn serve_threaded(
-    listener: TcpListener,
-    tenants: Arc<Tenants>,
-    config: &ServerConfig,
-    limits: ConnLimits,
-) -> std::io::Result<()> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let replication = config.replication.clone();
-    // Listener-level counters (rejects, accept errors) are not owned by
-    // any one tenant; they land on the default tenant's surface.
-    let listener_metrics = tenants.default_tenant().scheduler.metrics().clone();
-
-    listener.set_nonblocking(true)?;
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let backoff_seed = accept_seed(&listener);
-    let mut accept_failures = 0u32;
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accept_failures = 0;
-                handlers.retain(|t| !t.is_finished());
-                if config.max_conns != 0 && handlers.len() >= config.max_conns {
-                    listener_metrics.rejected_conns.fetch_add(1, Ordering::Relaxed);
-                    reject_connection(stream, config.max_conns);
-                    continue;
-                }
-                let tenants = tenants.clone();
-                let stop = stop.clone();
-                let replication = replication.clone();
-                handlers.push(
-                    std::thread::Builder::new()
-                        .name("rwr-conn".into())
-                        .spawn(move || {
-                            let requested_shutdown = handle_connection(
-                                stream,
-                                &tenants,
-                                &limits,
-                                replication.as_deref(),
-                                &stop,
-                            );
-                            if requested_shutdown {
-                                stop.store(true, Ordering::Release);
-                            }
-                        })?,
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Persistent accept failures (e.g. EMFILE) must not spin.
-                listener_metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(ACCEPT_BACKOFF.delay(backoff_seed, accept_failures));
-                accept_failures = accept_failures.saturating_add(1);
-            }
-        }
-    }
-    // Drain: handlers observe the stop flag within a read-poll, answer what
-    // they already read, and exit; the scheduler then drains its queues on
-    // drop. No connection is abandoned mid-request.
-    for t in handlers {
-        let _ = t.join();
-    }
-    Ok(())
-}
-
-/// Tells an over-cap client why it is being dropped, best-effort.
-fn reject_connection(stream: TcpStream, max_conns: usize) {
-    let mut w = BufWriter::new(stream);
-    let response = error_fields(
-        None,
-        "overloaded",
-        &format!("connection limit reached (max {max_conns})"),
-        None,
-    );
-    let _ = writeln!(w, "{}", response.render());
-    let _ = w.flush();
 }
 
 /// A server running on a background thread (in-process embedding).
@@ -345,7 +245,7 @@ impl ServerHandle {
     }
 
     /// Sends the shutdown op, then joins the server thread — returning only
-    /// after the drain completes (all connections joined, queues drained).
+    /// after the drain completes (all connections answered, queues drained).
     pub fn shutdown(mut self) -> std::io::Result<()> {
         request_shutdown(&self.addr.to_string())?;
         match self.thread.take() {
@@ -357,8 +257,8 @@ impl ServerHandle {
 
 /// Sends `{"op":"shutdown"}` and waits for the acknowledgement.
 ///
-/// A freshly-freed connection slot is reclaimed only once its handler
-/// thread observes the closed socket (within one read-poll), so a shutdown
+/// A freshly-freed connection slot is reclaimed only once the event loop
+/// observes the closed socket, so a shutdown
 /// sent right after closing other connections can race the `max_conns` cap
 /// and be rejected with `overloaded`. Treating that rejection as the
 /// acknowledgement would leave the server running forever — so retry until
@@ -405,113 +305,11 @@ pub fn spawn(
     })
 }
 
-/// Outcome of one attempt to pull more bytes off the socket.
-enum ReadStep {
-    /// Bytes arrived (a complete line may now be buffered).
-    Data,
-    /// The read timed out; any partial line stays buffered.
-    Timeout,
-    /// Clean end of stream.
-    Eof,
-    /// The client exceeded the line-length bound.
-    TooLong,
-    /// Hard I/O error.
-    Failed,
-}
-
 /// Pulls the next complete line out of `buf`, if one is buffered.
 pub(crate) fn take_buffered_line(buf: &mut Vec<u8>) -> Option<String> {
     let pos = buf.iter().position(|&b| b == b'\n')?;
     let line: Vec<u8> = buf.drain(..=pos).take(pos).collect();
     Some(String::from_utf8_lossy(&line).into_owned())
-}
-
-/// Reads one chunk into `buf`, enforcing the line-length bound.
-fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>, max: usize) -> ReadStep {
-    let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
-        Ok(0) => ReadStep::Eof,
-        Ok(n) => {
-            buf.extend_from_slice(&chunk[..n]);
-            // Only unterminated data can grow without bound; complete lines
-            // are drained by the caller before the next read.
-            if !buf.contains(&b'\n') && buf.len() > max {
-                ReadStep::TooLong
-            } else {
-                ReadStep::Data
-            }
-        }
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            ReadStep::Timeout
-        }
-        Err(_) => ReadStep::Failed,
-    }
-}
-
-/// Handles one connection; returns true when the client asked to shut the
-/// server down.
-///
-/// The read loop polls with a short timeout so it can observe `stop`; once
-/// stopping, it answers every request already buffered and exits — the
-/// drain contract for in-flight work.
-fn handle_connection(
-    stream: TcpStream,
-    tenants: &Arc<Tenants>,
-    limits: &ConnLimits,
-    replication: Option<&ReplicationRole>,
-    stop: &AtomicBool,
-) -> bool {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    let mut writer = BufWriter::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut idle = Duration::ZERO;
-    loop {
-        if let Some(line) = take_buffered_line(&mut buf) {
-            idle = Duration::ZERO;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (response, shutdown) = handle_line(&line, tenants, limits, replication);
-            if writeln!(writer, "{}", response.render()).is_err() || writer.flush().is_err() {
-                return false;
-            }
-            if shutdown {
-                return true;
-            }
-            continue;
-        }
-        if stop.load(Ordering::Acquire) {
-            return false; // drained: nothing buffered, server stopping
-        }
-        match read_more(&mut read_half, &mut buf, limits.max_line_bytes) {
-            ReadStep::Data => idle = Duration::ZERO,
-            ReadStep::Timeout => {
-                idle += READ_POLL;
-                if limits.idle_timeout.is_some_and(|t| idle >= t) {
-                    return false;
-                }
-            }
-            ReadStep::Eof | ReadStep::Failed => return false,
-            ReadStep::TooLong => {
-                let response = error_fields(
-                    None,
-                    "bad request",
-                    &format!("line exceeds {} bytes", limits.max_line_bytes),
-                    None,
-                );
-                let _ = writeln!(writer, "{}", response.render());
-                let _ = writer.flush();
-                return false;
-            }
-        }
-    }
 }
 
 pub(crate) fn error_fields(
@@ -561,13 +359,11 @@ fn fenced_error_response(id: Option<u64>, epoch: u64, leader: &str) -> Json {
 
 /// What one routed request line asks the connection engine to do.
 ///
-/// [`route_line`] performs everything both engines share — parsing,
-/// replica/fence bouncing, synchronous ops — and hands back the rest as
-/// data. The threaded engine executes `Query`/`Mutation`/`Promote`
-/// inline (blocking its connection thread); the reactor dispatches them
-/// to the scheduler hook path or its executor pool. Because every
-/// response byte is rendered by the same helpers on both sides, the
-/// engines are wire-equivalent by construction.
+/// [`route_line`] performs the parsing, replica/fence bouncing and
+/// synchronous ops, and hands back the rest as data: the reactor
+/// dispatches `Query` to the scheduler hook path and
+/// `Mutation`/`Promote`/`Admin` to its executor pool, then writes the
+/// response rendered by the helper each variant names.
 pub(crate) enum LineOutcome {
     /// Fully handled: write this response.
     Respond(Json),
@@ -626,7 +422,7 @@ pub(crate) enum AdminAction {
 }
 
 /// Dispatches one request line into a [`LineOutcome`] — the single
-/// routing point both connection engines share.
+/// routing point of the wire protocol.
 ///
 /// The optional `namespace` field picks the tenant; absent means
 /// `default`, so every pre-namespace client keeps working unchanged. Ops
@@ -766,38 +562,6 @@ pub(crate) fn route_line(
     }
 }
 
-/// Dispatches one request line synchronously (the threaded engine);
-/// returns (response, shutdown_requested).
-fn handle_line(
-    line: &str,
-    tenants: &Arc<Tenants>,
-    limits: &ConnLimits,
-    replication: Option<&ReplicationRole>,
-) -> (Json, bool) {
-    match route_line(line, tenants, limits, replication) {
-        LineOutcome::Respond(json) => (json, false),
-        LineOutcome::Shutdown(json) => (json, true),
-        LineOutcome::Query {
-            id,
-            request,
-            k,
-            full,
-            scheduler,
-        } => (
-            render_query_outcome(id, scheduler.query(request), k, full),
-            false,
-        ),
-        LineOutcome::Mutation { id, op, scheduler } => {
-            (apply_response(id, &scheduler, op), false)
-        }
-        LineOutcome::Promote { id, request } => (
-            promote_json(id, &request, tenants, replication),
-            false,
-        ),
-        LineOutcome::Admin { id, action } => (admin_response(id, &action, tenants), false),
-    }
-}
-
 pub(crate) fn ok_response(id: Option<u64>, mut rest: Vec<(String, Json)>) -> Json {
     let mut fields = Vec::new();
     if let Some(id) = id {
@@ -849,8 +613,8 @@ pub(crate) fn apply_response(id: Option<u64>, scheduler: &Scheduler, op: Mutatio
 /// bumps the replication epoch, flips the replica writable at its final
 /// applied version, and fences the old primary (or the address in the
 /// request's optional `fence` field) in the background.
-/// [`promote_response`] with its error branch rendered — the form both
-/// connection engines write to the wire.
+/// [`promote_response`] with its error branch rendered — the form the
+/// event loop writes to the wire.
 pub(crate) fn promote_json(
     id: Option<u64>,
     request: &Json,
@@ -937,8 +701,8 @@ fn spawn_fence_prober(target: String, promoted: Vec<(String, u64, u64)>, leader:
 }
 
 /// Renders a namespace-lifecycle outcome ([`LineOutcome::Admin`]) — the
-/// blocking half runs on a connection thread or the reactor's executor
-/// pool, exactly like a durable mutation.
+/// blocking half runs on the reactor's executor pool, exactly like a
+/// durable mutation.
 pub(crate) fn admin_response(id: Option<u64>, action: &AdminAction, tenants: &Arc<Tenants>) -> Json {
     use std::sync::atomic::Ordering::Relaxed;
     let fail = |e: String| {
@@ -1188,9 +952,7 @@ fn parse_query(
     ))
 }
 
-/// Renders a scheduler query outcome onto the wire — shared verbatim by
-/// both connection engines, so a query answers with identical bytes
-/// whichever engine carried it.
+/// Renders a scheduler query outcome onto the wire.
 pub(crate) fn render_query_outcome(
     id: Option<u64>,
     outcome: Result<crate::scheduler::QueryResponse, ServiceError>,
@@ -1243,6 +1005,7 @@ fn parse_edges(request: &Json) -> Result<Vec<(u32, u32)>, String> {
 mod tests {
     use super::*;
     use resacc_graph::gen;
+    use std::io::Read;
 
     fn start() -> ServerHandle {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
@@ -1791,16 +1554,25 @@ mod tests {
         lines
     }
 
-    /// Replays [`equivalence_workload`] against a fresh server on the given
-    /// backend; returns the normalized response lines.
-    fn run_workload(backend: ServerBackend, faults: crate::FaultPlan, dynamic_eps: f64) -> Vec<String> {
+    /// The normalized transcript of [`equivalence_workload`] on a clean
+    /// server: the reference the event loop must reproduce byte for byte.
+    /// Recorded from the retired thread-per-connection engine, which the
+    /// event loop matched exactly; a deliberate wire change re-records it.
+    const GOLDEN_CLEAN: &str = include_str!("../testdata/equivalence_clean.ndjson");
+    /// The same under the chaos plan of
+    /// [`backends_stay_equivalent_under_chaos_and_dynamic_upgrades`] with
+    /// `dynamic_eps = 0.05`.
+    const GOLDEN_CHAOS_DYNAMIC: &str = include_str!("../testdata/equivalence_chaos_dynamic.ndjson");
+
+    /// Replays [`equivalence_workload`] against a fresh server; returns the
+    /// normalized response lines.
+    fn run_workload(faults: crate::FaultPlan, dynamic_eps: f64) -> Vec<String> {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
         let handle = spawn(
             "127.0.0.1:0",
             session,
             ServerConfig {
                 workers: 2,
-                backend,
                 faults,
                 dynamic_eps,
                 ..ServerConfig::default()
@@ -1822,23 +1594,31 @@ mod tests {
         out
     }
 
-    /// The tentpole equivalence gate: the event loop and the threaded
-    /// engine answer an identical mixed workload with identical bytes
-    /// (modulo wall-clock latency). Same graph, same seeds, same ids —
-    /// queries, mutations, protocol errors, everything.
+    /// Compares a transcript with a golden file line by line, naming the
+    /// first line that differs.
+    fn assert_matches_golden(got: &[String], golden: &str, name: &str) {
+        let want: Vec<&str> = golden.lines().collect();
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                g == w,
+                "response {i} differs from {name}:\n  got  {g}\n  want {w}"
+            );
+        }
+        assert_eq!(got.len(), want.len(), "response count differs from {name}");
+    }
+
+    /// The wire equivalence gate: an identical mixed workload answers with
+    /// the golden bytes (modulo wall-clock latency). Same graph, same
+    /// seeds, same ids — queries, mutations, protocol errors, everything.
     #[test]
     fn backends_answer_identical_bytes_for_identical_workload() {
-        let threaded = run_workload(ServerBackend::Threaded, crate::FaultPlan::default(), 0.0);
-        let event = run_workload(ServerBackend::Event, crate::FaultPlan::default(), 0.0);
-        assert_eq!(threaded.len(), event.len());
-        for (i, (t, e)) in threaded.iter().zip(&event).enumerate() {
-            assert_eq!(t, e, "response {i} diverged between backends");
-        }
+        let got = run_workload(crate::FaultPlan::default(), 0.0);
+        assert_matches_golden(&got, GOLDEN_CLEAN, "equivalence_clean.ndjson");
     }
 
     /// Equivalence under chaos and the dynamic-upgrade path: injected
     /// panics/delays select by request id and upgrades are deterministic,
-    /// so both backends must still answer bit-identically.
+    /// so the answers must still match the golden bytes.
     #[test]
     fn backends_stay_equivalent_under_chaos_and_dynamic_upgrades() {
         let faults = crate::FaultPlan {
@@ -1847,78 +1627,73 @@ mod tests {
             delay_ms: 1,
             ..Default::default()
         };
-        let threaded = run_workload(ServerBackend::Threaded, faults, 0.05);
-        let event = run_workload(ServerBackend::Event, faults, 0.05);
-        assert_eq!(threaded, event);
+        let got = run_workload(faults, 0.05);
+        assert_matches_golden(
+            &got,
+            GOLDEN_CHAOS_DYNAMIC,
+            "equivalence_chaos_dynamic.ndjson",
+        );
         // Sanity: the fault plan actually fired somewhere in there.
         assert!(
-            threaded.iter().any(|l| l.contains("internal_panic")),
+            got.iter().any(|l| l.contains("internal_panic")),
             "chaos plan never fired"
         );
     }
 
     /// The namespace back-compat gate: requests with no `namespace` field
-    /// must behave exactly as they did before tenants existed, on both
-    /// backends, even while tenant lifecycle ops and namespaced traffic
-    /// interleave on the same connection. The baseline run and the mixed
-    /// run must agree byte-for-byte on every namespace-less response —
+    /// must behave exactly as they did before tenants existed, even while
+    /// tenant lifecycle ops and namespaced traffic interleave on the same
+    /// connection. The mixed run must reproduce the clean golden
+    /// transcript byte-for-byte on every namespace-less response —
     /// including `cached` flags, which would differ if tenant traffic
     /// leaked into the default tenant's cache or version counter.
     #[test]
     fn default_tenant_responses_unchanged_by_namespace_traffic() {
-        for backend in [ServerBackend::Threaded, ServerBackend::Event] {
-            let baseline = run_workload(backend, crate::FaultPlan::default(), 0.0);
-
-            let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
-            let handle = spawn(
-                "127.0.0.1:0",
-                session,
-                ServerConfig {
-                    workers: 2,
-                    backend,
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap();
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut exchange = |line: &str| -> String {
-                stream.write_all(line.as_bytes()).unwrap();
-                stream.write_all(b"\n").unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                strip_volatile(&response, false)
-            };
-            exchange(r#"{"id":900,"op":"create_namespace","namespace":"t9"}"#);
-            let mut mixed = Vec::new();
-            for (i, line) in equivalence_workload().iter().enumerate() {
-                if i % 3 == 0 {
-                    // Tenant traffic between the namespace-less lines: a
-                    // mutation and a query against t9, ids far away from
-                    // the workload's so fault plans (none here) and logs
-                    // stay distinguishable.
-                    exchange(&format!(
-                        "{{\"id\":{},\"op\":\"insert_edges\",\"namespace\":\"t9\",\"edges\":[[{},{}]]}}",
-                        901 + i,
-                        i % 8,
-                        (i + 1) % 8
-                    ));
-                    exchange(&format!(
-                        "{{\"id\":{},\"op\":\"query\",\"namespace\":\"t9\",\"source\":0,\"seed\":4}}",
-                        950 + i
-                    ));
-                }
-                mixed.push(exchange(line));
+        let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
+        let handle = spawn(
+            "127.0.0.1:0",
+            session,
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut exchange = |line: &str| -> String {
+            stream.write_all(line.as_bytes()).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            strip_volatile(&response, false)
+        };
+        exchange(r#"{"id":900,"op":"create_namespace","namespace":"t9"}"#);
+        let mut mixed = Vec::new();
+        for (i, line) in equivalence_workload().iter().enumerate() {
+            if i % 3 == 0 {
+                // Tenant traffic between the namespace-less lines: a
+                // mutation and a query against t9, ids far away from the
+                // workload's so fault plans (none here) and logs stay
+                // distinguishable.
+                exchange(&format!(
+                    "{{\"id\":{},\"op\":\"insert_edges\",\"namespace\":\"t9\",\"edges\":[[{},{}]]}}",
+                    901 + i,
+                    i % 8,
+                    (i + 1) % 8
+                ));
+                exchange(&format!(
+                    "{{\"id\":{},\"op\":\"query\",\"namespace\":\"t9\",\"source\":0,\"seed\":4}}",
+                    950 + i
+                ));
             }
-            exchange(r#"{"id":998,"op":"drop_namespace","namespace":"t9"}"#);
-            drop(stream);
-            handle.shutdown().unwrap();
-
-            assert_eq!(
-                baseline, mixed,
-                "namespace-less responses changed under tenant traffic ({backend:?})"
-            );
+            mixed.push(exchange(line));
         }
+        exchange(r#"{"id":998,"op":"drop_namespace","namespace":"t9"}"#);
+        drop(stream);
+        handle.shutdown().unwrap();
+
+        assert_matches_golden(&mixed, GOLDEN_CLEAN, "equivalence_clean.ndjson");
     }
 
     /// Dropping a namespace under chaos: pipelined in-flight queries are
@@ -1938,7 +1713,6 @@ mod tests {
             session,
             ServerConfig {
                 workers: 2,
-                backend: ServerBackend::Event,
                 faults,
                 ..ServerConfig::default()
             },
@@ -2028,7 +1802,6 @@ mod tests {
             session,
             ServerConfig {
                 workers: 2,
-                backend: ServerBackend::Event,
                 ..ServerConfig::default()
             },
         )
@@ -2117,7 +1890,6 @@ mod tests {
             session,
             ServerConfig {
                 workers: 1,
-                backend: ServerBackend::Event,
                 idle_timeout_ms: 300,
                 ..ServerConfig::default()
             },
@@ -2163,38 +1935,8 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
-    /// The event loop honours `max_conns` with the same typed rejection.
-    #[test]
-    fn event_backend_connection_cap_rejects_with_typed_error() {
-        let session = Arc::new(RwrSession::new(gen::cycle(16)));
-        let handle = spawn(
-            "127.0.0.1:0",
-            session,
-            ServerConfig {
-                workers: 1,
-                max_conns: 1,
-                backend: ServerBackend::Event,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut keeper = TcpStream::connect(handle.addr()).unwrap();
-        let ok = roundtrip(&mut keeper, r#"{"op":"ping"}"#);
-        assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
-        let over = TcpStream::connect(handle.addr()).unwrap();
-        let mut reader = BufReader::new(over);
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        let r = Json::parse(response.trim()).unwrap();
-        assert_eq!(r.get("error").unwrap().as_str(), Some("overloaded"));
-        drop(reader);
-        drop(keeper);
-        handle.shutdown().unwrap();
-    }
-
     /// EOF pipelining on the event loop: a client that writes its whole
-    /// pipeline and half-closes still gets every answer (the threaded
-    /// engine's `take_buffered_line`-first loop guarantees the same).
+    /// pipeline and half-closes still gets every answer.
     #[test]
     fn event_backend_answers_buffered_lines_after_half_close() {
         let session = Arc::new(RwrSession::new(gen::cycle(64)));
@@ -2203,7 +1945,6 @@ mod tests {
             session,
             ServerConfig {
                 workers: 1,
-                backend: ServerBackend::Event,
                 ..ServerConfig::default()
             },
         )
