@@ -4,13 +4,17 @@
 //! the synthetic `dblp` analogue, with `walk_scale` boosted so the walk
 //! phase dominates (the regime the chunked-stream parallel path targets).
 //!
-//! Two gates:
+//! Three gates:
 //!
-//! 1. **bitwise replay** (always enforced): every query's score vector must
+//! 1. **parallel path** (always enforced): every query's remedy plan must
+//!    fill at least one wave at N threads (`resacc::par::runs_parallel`),
+//!    or the N-thread pass would run serially and gate 2 would compare
+//!    serial with serial. Each query's plan walk count goes to stderr.
+//! 2. **bitwise replay** (always enforced): every query's score vector must
 //!    be bit-identical between the 1-thread and N-thread runs — the
 //!    chunked-stream RNG contract (`DESIGN.md` §10) makes thread count a
 //!    pure latency knob.
-//! 2. **speedup** (enforced only when the machine has ≥ N cores): the
+//! 3. **speedup** (enforced only when the machine has ≥ N cores): the
 //!    summed remedy-phase time at N threads must be ≥ 2× faster than at
 //!    1 thread. On smaller hosts (CI containers are often 1-core) the
 //!    speedup entry is **omitted** from the JSON — a measured "0.17×" on a
@@ -28,6 +32,7 @@
 //! (`{"name", "value", "unit"}`); the speedup ratio and gate marker are
 //! informational entries.
 
+use resacc::par::{runs_parallel, WAVE_WALKS};
 use resacc::resacc::{ResAcc, ResAccConfig};
 use resacc::RwrParams;
 use resacc_bench::datasets::{build, Scale};
@@ -78,7 +83,7 @@ fn main() {
     // One timed pass per thread count. Each pass re-runs the same (source,
     // seed) workload; `timings.remedy` isolates the walk phase from the
     // (identical, serial) push phases.
-    let run = |threads: usize| -> (Duration, u64, Vec<Vec<f64>>) {
+    let run = |threads: usize| -> (Duration, Vec<u64>, Vec<Vec<f64>>) {
         let engine = ResAcc::new(ResAccConfig {
             walk_scale,
             ..ResAccConfig::default().with_threads(threads)
@@ -86,33 +91,51 @@ fn main() {
         // Warm-up query: page in the graph, size the workspace.
         let _ = engine.query(&graph, sources[0], &params, 1);
         let mut remedy = Duration::ZERO;
-        let mut walks = 0u64;
+        let mut walks = Vec::with_capacity(sources.len());
         let mut scores = Vec::with_capacity(sources.len());
         for (i, &s) in sources.iter().enumerate() {
             let r = engine.query(&graph, s, &params, i as u64 + 1);
             remedy += r.timings.remedy;
-            walks += r.walks;
+            walks.push(r.walks);
             scores.push(r.scores);
         }
         (remedy, walks, scores)
     };
 
     eprintln!("pass 1: serial (1 thread)…");
-    let (serial_time, serial_walks, serial_scores) = run(1);
+    let (serial_time, query_walks, serial_scores) = run(1);
+    let serial_walks: u64 = query_walks.iter().sum();
     eprintln!(
         "  remedy {:.3} s over {serial_walks} walks",
         serial_time.as_secs_f64()
     );
+
+    // Gate 1 (always on): the N-thread pass must take the parallel path.
+    for (i, &walks) in query_walks.iter().enumerate() {
+        eprintln!(
+            "  query {i} (source {}): {walks} walks in its remedy plan",
+            sources[i]
+        );
+        assert!(
+            runs_parallel(walks, threads),
+            "query {i} (source {}): {walks} walks is below one wave at {threads} threads \
+             ({} walks) and would run serially; raise RESACC_BENCH_PARALLEL_WALK_SCALE",
+            sources[i],
+            threads as u64 * WAVE_WALKS
+        );
+    }
+
     eprintln!("pass 2: parallel ({threads} threads)…");
-    let (par_time, par_walks, par_scores) = run(threads);
+    let (par_time, par_query_walks, par_scores) = run(threads);
     eprintln!(
-        "  remedy {:.3} s over {par_walks} walks",
-        par_time.as_secs_f64()
+        "  remedy {:.3} s over {} walks",
+        par_time.as_secs_f64(),
+        par_query_walks.iter().sum::<u64>()
     );
 
-    // Gate 1 (always on): bitwise replay. Same plan, same chunk seeds, same
+    // Gate 2 (always on): bitwise replay. Same plan, same chunk seeds, same
     // reduction order — every byte must match.
-    assert_eq!(serial_walks, par_walks, "walk budgets must not depend on threads");
+    assert_eq!(query_walks, par_query_walks, "walk budgets must not depend on threads");
     for (i, (a, b)) in serial_scores.iter().zip(&par_scores).enumerate() {
         assert_eq!(a.len(), b.len());
         for (t, (x, y)) in a.iter().zip(b).enumerate() {

@@ -17,7 +17,6 @@
 
 use crate::state::ForwardState;
 use resacc_graph::{CsrGraph, NodeId};
-use std::collections::VecDeque;
 
 /// Statistics of a forward-push run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -100,30 +99,27 @@ pub fn forward_search_resume(
     r_max: f64,
     state: &mut ForwardState,
 ) -> PushStats {
-    let mut stats = PushStats::default();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut in_queue = vec![false; graph.num_nodes()];
-    for &v in state.touched() {
-        if satisfies_push_condition(graph, state, v, r_max) {
-            queue.push_back(v);
-            in_queue[v as usize] = true;
-        }
-    }
-    while let Some(t) = queue.pop_front() {
-        in_queue[t as usize] = false;
-        if !satisfies_push_condition(graph, state, t, r_max) {
-            continue;
-        }
-        stats.pushes += 1;
-        stats.edge_updates += push_at(graph, state, t, alpha);
-        for &v in graph.out_neighbors(t) {
-            if !in_queue[v as usize] && satisfies_push_condition(graph, state, v, r_max) {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
+    state.with_queue(|state, queue| {
+        let mut stats = PushStats::default();
+        for &v in state.touched() {
+            if satisfies_push_condition(graph, state, v, r_max) {
+                queue.push(v);
             }
         }
-    }
-    stats
+        while let Some(t) = queue.pop() {
+            if !satisfies_push_condition(graph, state, t, r_max) {
+                continue;
+            }
+            stats.pushes += 1;
+            stats.edge_updates += push_at(graph, state, t, alpha);
+            for &v in graph.out_neighbors(t) {
+                if !queue.contains(v) && satisfies_push_condition(graph, state, v, r_max) {
+                    queue.push(v);
+                }
+            }
+        }
+        stats
+    })
 }
 
 /// Convenience: Forward Search returning just the reserve vector as scores

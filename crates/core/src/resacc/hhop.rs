@@ -36,9 +36,8 @@
 
 use crate::cancel::{Cancel, QueryError};
 use crate::forward_push::{push_at, satisfies_push_condition};
-use crate::state::ForwardState;
+use crate::state::{ForwardState, PushQueue};
 use resacc_graph::{CsrGraph, HopLayers, NodeId};
-use std::collections::VecDeque;
 
 /// Where the accumulating phase is allowed to push.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,33 +135,31 @@ pub fn h_hop_fwd_cancellable(
     // Lines 3–7: accumulating phase — push every in-scope non-source node
     // satisfying the push condition. Under `use_loop == false` the source is
     // pushed like any other node (plain Forward Search).
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut in_queue = vec![false; n];
-    let consider =
-        |v: NodeId, state: &ForwardState, queue: &mut VecDeque<NodeId>, in_queue: &mut [bool]| {
-            if (use_loop && v == source) || !in_scope(v) || in_queue[v as usize] {
-                return;
-            }
-            if satisfies_push_condition(graph, state, v, r_max_hop) {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
-            }
-        };
-    for &v in graph.out_neighbors(source) {
-        consider(v, state, &mut queue, &mut in_queue);
-    }
-    while let Some(t) = queue.pop_front() {
-        in_queue[t as usize] = false;
-        if !satisfies_push_condition(graph, state, t, r_max_hop) {
-            continue;
+    let consider = |v: NodeId, state: &ForwardState, queue: &mut PushQueue| {
+        if (use_loop && v == source) || !in_scope(v) || queue.contains(v) {
+            return;
         }
-        push_at(graph, state, t, alpha);
-        pushes += 1;
-        ticker.tick()?;
-        for &v in graph.out_neighbors(t) {
-            consider(v, state, &mut queue, &mut in_queue);
+        if satisfies_push_condition(graph, state, v, r_max_hop) {
+            queue.push(v);
         }
-    }
+    };
+    state.with_queue(|state, queue| {
+        for &v in graph.out_neighbors(source) {
+            consider(v, state, queue);
+        }
+        while let Some(t) = queue.pop() {
+            if !satisfies_push_condition(graph, state, t, r_max_hop) {
+                continue;
+            }
+            push_at(graph, state, t, alpha);
+            pushes += 1;
+            ticker.tick()?;
+            for &v in graph.out_neighbors(t) {
+                consider(v, state, queue);
+            }
+        }
+        Ok(())
+    })?;
 
     // Lines 8–18: updating phase.
     let r1 = state.residue(source);

@@ -12,7 +12,6 @@ use crate::cancel::{Cancel, QueryError};
 use crate::forward_push::{push_at, satisfies_push_condition, PushStats};
 use crate::state::ForwardState;
 use resacc_graph::{CsrGraph, NodeId};
-use std::collections::VecDeque;
 
 /// Runs OMFWD over `state`.
 ///
@@ -47,52 +46,47 @@ pub fn omfwd_cancellable(
 ) -> Result<PushStats, QueryError> {
     assert!(alpha > 0.0 && alpha < 1.0);
     assert!(r_max_f > 0.0);
-    let mut stats = PushStats::default();
-    let mut in_queue = vec![false; graph.num_nodes()];
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-
-    // Line 1: enqueue the boundary in decreasing residue order.
-    let mut seeds: Vec<NodeId> = boundary
-        .iter()
-        .copied()
-        .filter(|&v| state.residue(v) > 0.0)
-        .collect();
-    seeds.sort_by(|&a, &b| {
-        state
-            .residue(b)
-            .partial_cmp(&state.residue(a))
-            .expect("residues are finite")
-    });
-    for v in seeds {
-        in_queue[v as usize] = true;
-        queue.push_back(v);
-    }
-    // Robustness seeds (see doc comment): anything already above threshold.
-    for &v in state.touched().to_vec().iter() {
-        if !in_queue[v as usize] && satisfies_push_condition(graph, state, v, r_max_f) {
-            in_queue[v as usize] = true;
-            queue.push_back(v);
+    state.with_queue(|state, queue| {
+        let mut stats = PushStats::default();
+        // Line 1: enqueue the boundary in decreasing residue order.
+        let mut seeds: Vec<NodeId> = boundary
+            .iter()
+            .copied()
+            .filter(|&v| state.residue(v) > 0.0)
+            .collect();
+        seeds.sort_by(|&a, &b| {
+            state
+                .residue(b)
+                .partial_cmp(&state.residue(a))
+                .expect("residues are finite")
+        });
+        for v in seeds {
+            queue.push(v);
         }
-    }
-
-    // Lines 2–9.
-    let mut ticker = cancel.ticker();
-    while let Some(t) = queue.pop_front() {
-        in_queue[t as usize] = false;
-        if state.residue(t) <= 0.0 {
-            continue;
-        }
-        stats.pushes += 1;
-        ticker.tick()?;
-        stats.edge_updates += push_at(graph, state, t, alpha);
-        for &v in graph.out_neighbors(t) {
-            if !in_queue[v as usize] && satisfies_push_condition(graph, state, v, r_max_f) {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
+        // Robustness seeds (see doc comment): anything already above threshold.
+        for &v in state.touched() {
+            if !queue.contains(v) && satisfies_push_condition(graph, state, v, r_max_f) {
+                queue.push(v);
             }
         }
-    }
-    Ok(stats)
+
+        // Lines 2–9.
+        let mut ticker = cancel.ticker();
+        while let Some(t) = queue.pop() {
+            if state.residue(t) <= 0.0 {
+                continue;
+            }
+            stats.pushes += 1;
+            ticker.tick()?;
+            stats.edge_updates += push_at(graph, state, t, alpha);
+            for &v in graph.out_neighbors(t) {
+                if !queue.contains(v) && satisfies_push_condition(graph, state, v, r_max_f) {
+                    queue.push(v);
+                }
+            }
+        }
+        Ok(stats)
+    })
 }
 
 #[cfg(test)]

@@ -12,8 +12,50 @@
 //! The state is dense (`Vec<f64>` indexed by node id) for O(1) access, with
 //! a *touched list* so that repeated queries on the same graph reset in
 //! O(touched) instead of O(n) — the pattern the reference FORA code uses.
+//! The push phases' FIFO queue lives here too ([`PushQueue`]), so a pooled
+//! workspace answers query after query without an O(n) allocation.
 
 use resacc_graph::NodeId;
+use std::collections::VecDeque;
+
+/// FIFO queue of nodes awaiting a push, with O(1) membership. Kept in the
+/// [`ForwardState`] workspace and lent out by [`ForwardState::with_queue`].
+#[derive(Clone, Debug, Default)]
+pub struct PushQueue {
+    queue: VecDeque<NodeId>,
+    queued: Vec<bool>,
+}
+
+impl PushQueue {
+    /// True if `v` is waiting in the queue.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.queued[v as usize]
+    }
+
+    /// Appends `v` to the back of the queue.
+    #[inline]
+    pub fn push(&mut self, v: NodeId) {
+        self.queued[v as usize] = true;
+        self.queue.push_back(v);
+    }
+
+    /// Removes the node at the front of the queue.
+    #[inline]
+    pub fn pop(&mut self) -> Option<NodeId> {
+        let v = self.queue.pop_front()?;
+        self.queued[v as usize] = false;
+        Some(v)
+    }
+
+    /// Empties the queue in O(queued) — nonzero only after an aborted push
+    /// phase, since a completed one drains its queue.
+    fn clear(&mut self) {
+        for v in self.queue.drain(..) {
+            self.queued[v as usize] = false;
+        }
+    }
+}
 
 /// Dense reserve/residue vectors plus a touched-node list for cheap reset.
 #[derive(Clone, Debug)]
@@ -22,6 +64,7 @@ pub struct ForwardState {
     residue: Vec<f64>,
     touched: Vec<NodeId>,
     is_touched: Vec<bool>,
+    queue: PushQueue,
 }
 
 impl ForwardState {
@@ -32,6 +75,7 @@ impl ForwardState {
             residue: vec![0.0; n],
             touched: Vec::new(),
             is_touched: vec![false; n],
+            queue: PushQueue::default(),
         }
     }
 
@@ -134,7 +178,24 @@ impl ForwardState {
             .sum()
     }
 
-    /// Clears the state in O(touched).
+    /// Runs `f` with the workspace's [`PushQueue`] lent out beside the
+    /// state, so a push loop can hold both mutably. The queue is sized for
+    /// this state on first use and comes back as `f` left it, `Err` or not;
+    /// [`ForwardState::reset`] empties what an aborted phase left queued.
+    pub fn with_queue<R>(&mut self, f: impl FnOnce(&mut Self, &mut PushQueue) -> R) -> R {
+        let mut queue = std::mem::take(&mut self.queue);
+        if queue.queued.len() != self.len() {
+            queue = PushQueue {
+                queue: VecDeque::new(),
+                queued: vec![false; self.len()],
+            };
+        }
+        let out = f(self, &mut queue);
+        self.queue = queue;
+        out
+    }
+
+    /// Clears the state (and any queued nodes) in O(touched).
     pub fn reset(&mut self) {
         for &v in &self.touched {
             self.reserve[v as usize] = 0.0;
@@ -142,6 +203,7 @@ impl ForwardState {
             self.is_touched[v as usize] = false;
         }
         self.touched.clear();
+        self.queue.clear();
     }
 
     /// Initializes the canonical SSRWR start state: `r(s) = 1`, all else 0.
@@ -163,6 +225,7 @@ impl ForwardState {
             self.is_touched[v as usize] = false;
         }
         self.touched.clear();
+        self.queue.clear();
         std::mem::replace(&mut self.reserve, vec![0.0; n])
     }
 }
@@ -224,6 +287,25 @@ mod tests {
         // reusable afterwards
         st.init_source(0);
         assert_eq!(st.residue(0), 1.0);
+    }
+
+    #[test]
+    fn queue_is_lent_sized_and_emptied_by_reset() {
+        let mut st = ForwardState::new(4);
+        st.with_queue(|_, q| {
+            q.push(2);
+            q.push(0);
+            assert!(q.contains(2) && !q.contains(1));
+            assert_eq!(q.pop(), Some(2));
+            assert!(!q.contains(2));
+        });
+        // An aborted phase leaves node 0 queued; reset empties the queue.
+        st.with_queue(|_, q| assert!(q.contains(0)));
+        st.reset();
+        st.with_queue(|_, q| {
+            assert!(!q.contains(0));
+            assert_eq!(q.pop(), None);
+        });
     }
 
     #[test]

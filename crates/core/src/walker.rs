@@ -63,16 +63,14 @@ impl<'g> Walker<'g> {
         }
     }
 
-    /// Simulates `count` walks from `start`, appending each terminal node to
-    /// `out` in walk order. The parallel remedy path records terminals in
+    /// Simulates `out.len()` walks from `start`, writing each terminal node
+    /// to `out` in walk order. The parallel remedy path records terminals in
     /// worker threads with this, then replays the credits serially in chunk
     /// order — the same f64 additions [`Walker::walk_and_credit`] would have
     /// performed, so the two paths are bit-identical.
-    pub fn walk_and_record(&mut self, start: NodeId, count: u64, out: &mut Vec<NodeId>) {
-        out.reserve(count as usize);
-        for _ in 0..count {
-            let t = self.walk(start);
-            out.push(t);
+    pub fn walk_and_record(&mut self, start: NodeId, out: &mut [NodeId]) {
+        for slot in out {
+            *slot = self.walk(start);
         }
     }
 

@@ -7,7 +7,9 @@
 #      sustain the load, contain every injected panic, and drain cleanly
 #   5. parallel determinism: `rwr query` at 1 and 4 threads must print
 #      byte-identical results, and a bench_parallel smoke run must pass its
-#      bitwise 1-vs-N gate (the ≥2× speedup gate self-disables on <4 cores)
+#      parallel-path gate (every query's plan fills one wave at 4 threads,
+#      so the N-thread pass is not serial) and its bitwise 1-vs-N gate (the
+#      ≥2× speedup gate self-disables on <4 cores)
 #   6. recovery smoke: mutate a durable server, SIGKILL it, restart on the
 #      same --data-dir, and require the WAL replay banner plus a byte-
 #      identical full-scores query; then a bench_recovery smoke run must
@@ -138,8 +140,10 @@ if ! cmp -s "$SMOKE_DIR/q1.out" "$SMOKE_DIR/q4.out"; then
   exit 1
 fi
 
-echo "==> bench_parallel smoke (bitwise 1-vs-N gate)"
-RESACC_BENCH_PARALLEL_QUERIES=2 RESACC_BENCH_PARALLEL_WALK_SCALE=2 \
+echo "==> bench_parallel smoke (parallel-path and bitwise 1-vs-N gates)"
+# WALK_SCALE 4 gives each query ~138k remedy walks, above the one-wave
+# threshold of 4 × WAVE_WALKS = 131072 below which 4 threads run serially.
+RESACC_BENCH_PARALLEL_QUERIES=2 RESACC_BENCH_PARALLEL_WALK_SCALE=4 \
   target/release/bench_parallel "$SMOKE_DIR/BENCH_parallel.json" > /dev/null
 
 echo "==> recovery smoke (mutate, SIGKILL, restart, bitwise query replay)"

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use resacc::monte_carlo::{monte_carlo_with_walks_guarded, remedy_parallel};
+use resacc::par::{runs_parallel, WAVE_WALKS};
 use resacc::resacc::{h_hop_fwd, omfwd, ResAcc, ResAccConfig, Scope};
 use resacc::{Cancel, ForwardState, QueryError, RwrParams, RwrSession};
 use resacc_graph::{gen, CsrGraph};
@@ -168,6 +169,78 @@ proptest! {
         prop_assert_eq!(retry_walks, ref_walks);
         for (t, (a, b)) in reference.iter().zip(&retry).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "scores[{}] differs after abort", t);
+        }
+    }
+}
+
+/// The `walk_scale` that gives a remedy over `residue_sum` at least
+/// `9 × WAVE_WALKS` walks: each node's budget is `⌈r·c·scale⌉ ≥ r·c·scale`.
+fn scale_for_parallel_plan(params: &RwrParams, residue_sum: f64) -> f64 {
+    9.0 * WAVE_WALKS as f64 / (residue_sum * params.walk_coefficient())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The properties above use graphs small enough that every plan runs
+    /// serially (below one wave of `threads × WAVE_WALKS` walks). Here
+    /// `walk_scale` is raised until the remedy plan exceeds
+    /// `8 × WAVE_WALKS` walks, so 2, 4 and 8 threads all take the parallel
+    /// path, and its bits must still be the serial bits.
+    #[test]
+    fn parallel_path_is_bitwise_identical_above_one_wave(
+        n in 200usize..600,
+        d in 2usize..5,
+        graph_seed in 0u64..1_000_000,
+        source in 0u32..200,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = gen::barabasi_albert(n, d, graph_seed);
+        let params = RwrParams::new(0.2, 0.5, 0.05, 0.05);
+
+        let mut state = ForwardState::new(g.num_nodes());
+        push_phases(&g, source, &mut state);
+        prop_assert!(state.residue_sum() > 0.0);
+        let walk_scale = scale_for_parallel_plan(&params, state.residue_sum());
+        let mut serial = state.scores();
+        let walks = remedy_parallel(
+            &g, &state, &params, walk_scale, seed, 1, &mut serial, &Cancel::never(),
+        ).unwrap();
+        prop_assert!(walks > 8 * WAVE_WALKS, "remedy plan has only {} walks", walks);
+        for threads in THREAD_COUNTS {
+            prop_assert!(runs_parallel(walks, threads));
+            let mut par = state.scores();
+            remedy_parallel(
+                &g, &state, &params, walk_scale, seed, threads, &mut par, &Cancel::never(),
+            ).unwrap();
+            for (t, (a, b)) in serial.iter().zip(&par).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(), b.to_bits(),
+                    "remedy scores[{}] differs at {} threads", t, threads
+                );
+            }
+        }
+
+        // Full queries: the residue entering the remedy does not depend on
+        // `walk_scale`, so one cheap query sizes the heavy ones.
+        let probe = ResAcc::new(ResAccConfig::default()).query(&g, source, &params, seed);
+        prop_assert!(probe.residue_sum_final > 0.0);
+        let config = ResAccConfig {
+            walk_scale: scale_for_parallel_plan(&params, probe.residue_sum_final),
+            ..ResAccConfig::default()
+        };
+        let serial = ResAcc::new(config).query(&g, source, &params, seed);
+        prop_assert!(serial.walks > 8 * WAVE_WALKS, "query plan has only {} walks", serial.walks);
+        for threads in THREAD_COUNTS {
+            prop_assert!(runs_parallel(serial.walks, threads));
+            let par = ResAcc::new(config.with_threads(threads)).query(&g, source, &params, seed);
+            prop_assert_eq!(par.walks, serial.walks);
+            for (t, (a, b)) in serial.scores.iter().zip(&par.scores).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(), b.to_bits(),
+                    "query scores[{}] differs at {} threads", t, threads
+                );
+            }
         }
     }
 }
