@@ -279,30 +279,27 @@ fn signed_push_condition(graph: &CsrGraph, state: &ForwardState, t: NodeId, delt
 pub fn push_offsets(graph: &CsrGraph, alpha: f64, delta: f64, state: &mut ForwardState) -> u64 {
     assert!(alpha > 0.0 && alpha < 1.0);
     assert!(delta > 0.0, "push threshold must be positive");
-    let mut pushes = 0u64;
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut in_queue = vec![false; graph.num_nodes()];
-    for &v in state.touched() {
-        if signed_push_condition(graph, state, v, delta) {
-            queue.push_back(v);
-            in_queue[v as usize] = true;
-        }
-    }
-    while let Some(t) = queue.pop_front() {
-        in_queue[t as usize] = false;
-        if !signed_push_condition(graph, state, t, delta) {
-            continue;
-        }
-        pushes += 1;
-        push_at(graph, state, t, alpha);
-        for &v in graph.out_neighbors(t) {
-            if !in_queue[v as usize] && signed_push_condition(graph, state, v, delta) {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
+    state.with_queue(|state, queue| {
+        let mut pushes = 0u64;
+        for &v in state.touched() {
+            if signed_push_condition(graph, state, v, delta) {
+                queue.push(v);
             }
         }
-    }
-    pushes
+        while let Some(t) = queue.pop() {
+            if !signed_push_condition(graph, state, t, delta) {
+                continue;
+            }
+            pushes += 1;
+            push_at(graph, state, t, alpha);
+            for &v in graph.out_neighbors(t) {
+                if !queue.contains(v) && signed_push_condition(graph, state, v, delta) {
+                    queue.push(v);
+                }
+            }
+        }
+        pushes
+    })
 }
 
 /// Residual L1 norm `Σ_v |r(v)|` — the additive error bound of whatever
