@@ -29,24 +29,12 @@
 
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::{spawn, ServerConfig};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 /// Current thread count of this process, from `/proc/self/status`.
 /// Client sockets are plain `TcpStream`s held in a Vec, so every thread
@@ -174,12 +162,12 @@ fn main() {
         entries.push(Entry {
             name: format!("c10k/p99 query latency @ {conns} idle conns"),
             value: p99 * 1e9,
-            unit: "ns",
+            unit: "ns".into(),
         });
         entries.push(Entry {
             name: format!("c10k/process threads @ {conns} idle conns"),
             value: threads as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         rung_stats.push((conns, threads, p99));
     }
@@ -206,24 +194,11 @@ fn main() {
     entries.push(Entry {
         name: format!("c10k/thread growth {base_conns}→{top_conns} conns"),
         value: (top_threads - base_threads.min(top_threads)) as f64,
-        unit: "count",
+        unit: "count".into(),
     });
 
     drop(idle);
     handle.shutdown().expect("clean drain");
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_c10k.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 }

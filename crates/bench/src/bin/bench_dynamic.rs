@@ -29,9 +29,11 @@
 //! (`{"name", "value", "unit"}`).
 
 use resacc::RwrSession;
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use resacc_service::server::{spawn, ServerConfig, ServerHandle};
+use resacc_testsuite::process::request;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,19 +42,6 @@ const DYNAMIC_DELTA: f64 = 1e-4;
 const WRITE_MIX: f64 = 0.15;
 const DELETE_MIX: f64 = 0.02;
 const PROBE_SEED: u64 = 4242;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 /// Cache/upgrade counters scraped from the server's `stats` wire op.
 struct CacheCounters {
@@ -77,16 +66,7 @@ impl CacheCounters {
 }
 
 fn fetch_counters(addr: &str) -> CacheCounters {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect for stats");
-    stream
-        .write_all(b"{\"id\":999999,\"op\":\"stats\"}\n")
-        .expect("send stats");
-    let mut line = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut line)
-        .expect("read stats");
-    let response = Json::parse(line.trim()).expect("stats parse");
+    let response = request(addr, r#"{"id":999999,"op":"stats"}"#);
     let stats = response.get("stats").expect("stats object");
     let field = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
     CacheCounters {
@@ -254,77 +234,64 @@ fn main() {
         Entry {
             name: "dynamic/effective hit rate (upgrade path)".into(),
             value: up_counters.effective_rate() * 100.0,
-            unit: "%",
+            unit: "%".into(),
         },
         Entry {
             name: "dynamic/hit rate (invalidate-everything baseline)".into(),
             value: base_counters.plain_rate() * 100.0,
-            unit: "%",
+            unit: "%".into(),
         },
         Entry {
             name: "dynamic/cache upgrades".into(),
             value: up_counters.upgrades as f64,
-            unit: "count",
+            unit: "count".into(),
         },
         Entry {
             name: "dynamic/upgrade fallbacks".into(),
             value: up_counters.fallbacks as f64,
-            unit: "count",
+            unit: "count".into(),
         },
         Entry {
             name: "dynamic/cache invalidations (delete_node purges)".into(),
             value: up_counters.invalidations as f64,
-            unit: "count",
+            unit: "count".into(),
         },
         Entry {
             name: "dynamic/p99 (upgrade path)".into(),
             value: up_report.p99_ms * ms,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "dynamic/p99 (baseline)".into(),
             value: base_report.p99_ms * ms,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "dynamic/time per upgrade".into(),
             value: per_upgrade * 1e9,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "dynamic/time per fresh recompute".into(),
             value: per_recompute * 1e9,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "dynamic/upgrade vs recompute speedup".into(),
             value: speedup,
-            unit: "x",
+            unit: "x".into(),
         },
         Entry {
             name: "dynamic/max measured error (vs fresh)".into(),
             value: max_diff,
-            unit: "err",
+            unit: "err".into(),
         },
         Entry {
             name: "dynamic/max accumulated claim".into(),
             value: max_claim,
-            unit: "err",
+            unit: "err".into(),
         },
     ];
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_dynamic.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 }

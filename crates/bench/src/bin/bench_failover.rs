@@ -53,24 +53,12 @@ use resacc::replication::{
 };
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 const PROBE_SOURCE: u32 = 3;
 const PROBE_SEED: u64 = 77;
@@ -353,59 +341,46 @@ fn main() {
         Entry {
             name: format!("failover/chaos drain ({mutations} records)"),
             value: chaos_drain.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "failover/chaos write time under shipping".into(),
             value: write_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "failover/promote latency (drain + durable epoch bump)".into(),
             value: promote_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "failover/fence latency (probe + demote + truncate)".into(),
             value: fence_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: format!("failover/rejoin catch-up ({winning} records past fork)"),
             value: rejoin_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "failover/writes accepted while fenced".into(),
             value: accepted as f64, // hard-gated to zero above
-            unit: "count",
+            unit: "count".into(),
         },
         Entry {
             name: "failover/acked records lost".into(),
             value: (fork - promoted_at) as f64, // hard-gated to zero above
-            unit: "records",
+            unit: "records".into(),
         },
         Entry {
             name: "failover/bit-identity violations".into(),
             value: 0.0, // hard-asserted above, recorded for the dashboard
-            unit: "count",
+            unit: "count".into(),
         },
     ];
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_failover.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     if let Some(c) = rejoin.lock().unwrap().take() {
         c.shutdown();

@@ -36,27 +36,8 @@ use resacc::par::{runs_parallel, WAVE_WALKS};
 use resacc::resacc::{ResAcc, ResAccConfig};
 use resacc::RwrParams;
 use resacc_bench::datasets::{build, Scale};
+use resacc_bench::emit::{Entry, env_f64, env_u64, write_entries};
 use std::time::Duration;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: String,
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -197,20 +178,7 @@ fn main() {
         },
     });
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_parallel.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     if gate_enforced {
         assert!(

@@ -31,24 +31,12 @@
 use resacc::durability::{open_dir, DurabilityOptions, RecoveryStats};
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::loadgen::{self, LoadgenConfig};
 use resacc_service::{spawn, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 const PROBE_SOURCE: u32 = 3;
 const PROBE_SEED: u64 = 77;
@@ -313,76 +301,63 @@ fn main() {
         Entry {
             name: format!("recovery/WAL replay ({mutations} records)"),
             value: wal_replay_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: format!("recovery/snapshot + tail (≤{snapshot_every} records)"),
             value: snap_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/torn-tail replay".into(),
             value: torn_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/mutation apply+log time".into(),
             value: mutate_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/tail records after snapshot".into(),
             value: tail as f64,
-            unit: "count",
+            unit: "count".into(),
         },
         Entry {
             name: "recovery/acknowledged mutations lost".into(),
             value: 0.0, // hard-asserted above, recorded for the dashboard
-            unit: "count",
+            unit: "count".into(),
         },
         // Smaller-is-better dashboard shape: report the group-commit gain
         // as per-write commit latency so an improvement shows as a drop.
         Entry {
             name: "recovery/write-mix 0.5 WAL-commit ns per write (per-mutation fsync)".into(),
             value: 1e9 / tput_single.max(1e-9),
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/write-mix 0.5 WAL-commit ns per write (group commit)".into(),
             value: 1e9 / tput_group.max(1e-9),
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/write-mix 0.5 wall ns per write (per-mutation fsync)".into(),
             value: 1e9 / e2e_single.max(1e-9),
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/write-mix 0.5 wall ns per write (group commit)".into(),
             value: 1e9 / e2e_group.max(1e-9),
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "recovery/group-commit fsynced batches".into(),
             value: gc_batches as f64,
-            unit: "count",
+            unit: "count".into(),
         },
     ];
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_recovery.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     for (label, t) in [
         ("WAL replay", wal_replay_time),

@@ -36,24 +36,12 @@ use resacc::durability::{open_dir, DurabilityOptions};
 use resacc::replication::{attach_hub, ReplicaClient, ReplicationHub, ReplicationServer, ReplicationStats};
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 const PROBE_SOURCE: u32 = 3;
 const PROBE_SEED: u64 = 77;
@@ -256,49 +244,36 @@ fn main() {
         Entry {
             name: format!("replication/steady-state drain ({mutations} records)"),
             value: drain_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "replication/steady-state max lag".into(),
             value: max_lag as f64,
-            unit: "records",
+            unit: "records".into(),
         },
         Entry {
             name: "replication/write time under shipping".into(),
             value: write_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: format!("replication/catch-up from genesis ({mutations} records)"),
             value: genesis_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: format!("replication/catch-up from snapshot (≤{snapshot_every}-record tail)"),
             value: snapshot_time.as_nanos() as f64,
-            unit: "ns",
+            unit: "ns".into(),
         },
         Entry {
             name: "replication/bit-identity violations".into(),
             value: 0.0, // hard-asserted above, recorded for the dashboard
-            unit: "count",
+            unit: "count".into(),
         },
     ];
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_replication.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     std::fs::remove_dir_all(&dir_live).ok();
 }

@@ -28,41 +28,22 @@
 
 use resacc::RwrSession;
 use resacc_bench::datasets::{build, Scale};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
+use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig};
 use resacc_service::scheduler::{ErrorKind, QueryRequest, Scheduler, SchedulerConfig};
 use resacc_service::server::{spawn, ServerConfig, ServerHandle};
 use resacc_service::FaultPlan;
+use resacc_testsuite::process::request;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Reads the server's `panics` counter over the wire (`stats` op).
 fn fetch_panics(addr: std::net::SocketAddr) -> u64 {
-    use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    let fetch = || -> std::io::Result<u64> {
-        let mut stream = std::net::TcpStream::connect(addr)?;
-        stream.write_all(b"{\"op\":\"stats\"}\n")?;
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line)?;
-        Json::parse(line.trim())
-            .ok()
-            .and_then(|j| j.get("stats").and_then(|s| s.get("panics").and_then(Json::as_u64)))
-            .ok_or_else(|| std::io::Error::other("no panics field in stats"))
-    };
-    fetch().expect("fetch server stats")
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
+    request(&addr.to_string(), r#"{"op":"stats"}"#)
+        .get("stats")
+        .and_then(|s| s.get("panics").and_then(Json::as_u64))
+        .expect("panics field in stats")
 }
 
 fn start_server(
@@ -256,27 +237,14 @@ fn main() {
     }
     eprintln!("  ok: bit-identical outside the fault plan");
 
-    entries.push(Entry { name: "robustness/drain latency (after chaos)".into(), value: drain_ms * 1e6, unit: "ns" });
-    entries.push(Entry { name: "robustness/chaos throughput".into(), value: chaos.qps, unit: "qps" });
-    entries.push(Entry { name: "robustness/injected panics contained".into(), value: chaos.panics as f64, unit: "count" });
-    entries.push(Entry { name: "robustness/post-panic availability".into(), value: availability * 100.0, unit: "%" });
-    entries.push(Entry { name: "robustness/shed rate (queue cap 2)".into(), value: shed_rate * 100.0, unit: "%" });
-    entries.push(Entry { name: "robustness/timeout rate (1 ms deadline)".into(), value: timeout_rate * 100.0, unit: "%" });
+    entries.push(Entry { name: "robustness/drain latency (after chaos)".into(), value: drain_ms * 1e6, unit: "ns".into() });
+    entries.push(Entry { name: "robustness/chaos throughput".into(), value: chaos.qps, unit: "qps".into() });
+    entries.push(Entry { name: "robustness/injected panics contained".into(), value: chaos.panics as f64, unit: "count".into() });
+    entries.push(Entry { name: "robustness/post-panic availability".into(), value: availability * 100.0, unit: "%".into() });
+    entries.push(Entry { name: "robustness/shed rate (queue cap 2)".into(), value: shed_rate * 100.0, unit: "%".into() });
+    entries.push(Entry { name: "robustness/timeout rate (1 ms deadline)".into(), value: timeout_rate * 100.0, unit: "%".into() });
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_robustness.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     assert!(
         (availability - 1.0).abs() < 1e-9,

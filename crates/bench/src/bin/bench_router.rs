@@ -38,119 +38,17 @@
 //! that the run would have aborted otherwise.
 
 use resacc::replication::{NetFault, NetFaultPlan};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use resacc_service::router::{spawn as spawn_router, RouterConfig, RouterHandle};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
-
-/// The compiled `rwr` CLI, sitting next to this bench in the target dir.
-fn rwr_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("RESACC_RWR_BIN") {
-        return PathBuf::from(p);
-    }
-    let exe = std::env::current_exe().expect("current_exe");
-    let cand = exe
-        .parent()
-        .expect("bench binary has a parent dir")
-        .join(format!("rwr{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        cand.exists(),
-        "rwr binary not found at {} — build it first (`cargo build --release -p resacc-cli`) \
-         or point RESACC_RWR_BIN at it",
-        cand.display()
-    );
-    cand
-}
-
-/// A running `rwr serve` child with its listener addresses scraped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
+use resacc_testsuite::process::{request, rwr_bin, serve, wait_for, Proc, TempDir};
+use std::net::TcpListener;
+use std::path::Path;
+use std::process::Command;
 
 fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = Command::new(rwr_bin());
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra)
-        .stdout(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn rwr serve");
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("rwr serve prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-/// One-shot NDJSON request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("backend speaks json")
+    serve(Command::new(rwr_bin()), graph, data_dir, extra)
 }
 
 /// Requests the router has routed so far (reads + mutations) — the
@@ -164,14 +62,9 @@ fn routed_so_far(router_addr: &str) -> u64 {
 
 /// Blocks until the router has routed at least `n` requests.
 fn wait_routed(router_addr: &str, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while routed_so_far(router_addr) < n {
-        assert!(
-            Instant::now() < deadline,
-            "loadgen never reached {n} routed requests"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for(&format!("{n} routed requests"), || {
+        routed_so_far(router_addr) >= n
+    });
 }
 
 fn loadgen_thread(config: LoadgenConfig) -> std::thread::JoinHandle<LoadgenReport> {
@@ -195,9 +88,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_router.json".into());
     let requests = env_u64("RESACC_BENCH_ROUTER_REQUESTS", 400);
     let hedge_requests = env_u64("RESACC_BENCH_ROUTER_HEDGE_REQUESTS", 300);
-    let dir = std::env::temp_dir().join(format!("bench-router-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("bench-router");
     let graph_path = dir.join("g.txt");
     let graph = resacc_graph::gen::barabasi_albert(1500, 3, 7);
     resacc_graph::edgelist::save_edge_list(&graph, &graph_path).expect("write graph");
@@ -254,12 +145,12 @@ fn main() {
         entries.push(Entry {
             name: "router/read errors during replica kill".into(),
             value: report.errors as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "router/read p99 during replica kill".into(),
             value: report.p99_ms * 1e6,
-            unit: "ns",
+            unit: "ns".into(),
         });
         router.shutdown().ok();
         r2.kill();
@@ -366,22 +257,22 @@ fn main() {
         entries.push(Entry {
             name: "router/min_version violations under chaos".into(),
             value: report.min_version_violations as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "router/acked writes lost across failover".into(),
             value: (after <= report.max_acked_version) as u64 as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "router/untyped errors under chaos".into(),
             value: (report.errors - typed) as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "router/request p99 across failover".into(),
             value: report.p99_ms * 1e6,
-            unit: "ns",
+            unit: "ns".into(),
         });
         router.shutdown().ok();
         r1.kill();
@@ -454,31 +345,17 @@ fn main() {
         entries.push(Entry {
             name: "router/unhedged read p99 (slow replica)".into(),
             value: unhedged.p99_ms * 1e6,
-            unit: "ns",
+            unit: "ns".into(),
         });
         entries.push(Entry {
             name: "router/hedged read p99 (slow replica)".into(),
             value: hedged.p99_ms * 1e6,
-            unit: "ns",
+            unit: "ns".into(),
         });
         r1.kill();
         r2.kill();
         primary.kill();
     }
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_router.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
-    let _ = std::fs::remove_dir_all(&dir);
+    write_entries(&out_path, &entries);
 }

@@ -26,23 +26,11 @@
 
 use resacc::RwrSession;
 use resacc_bench::datasets::{build, Scale};
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::loadgen::{self, LoadgenConfig};
 use resacc_service::scheduler::{QueryRequest, Scheduler, SchedulerConfig};
 use resacc_service::server::{spawn, ServerConfig, ServerHandle};
 use std::sync::Arc;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
 
 fn start_server(session: Arc<RwrSession>, workers: usize, cache: usize) -> ServerHandle {
     spawn(
@@ -161,32 +149,19 @@ fn main() {
     eprintln!("  ok: bit-identical");
 
     let ms = 1e6; // report latencies in ns like the exemplar dashboards
-    entries.push(Entry { name: "service/baseline p50 (1 worker, cold)".into(), value: base.p50_ms * ms, unit: "ns" });
-    entries.push(Entry { name: "service/baseline p99 (1 worker, cold)".into(), value: base.p99_ms * ms, unit: "ns" });
-    entries.push(Entry { name: "service/p50 (8 workers, zipf)".into(), value: service.p50_ms * ms, unit: "ns" });
-    entries.push(Entry { name: "service/p95 (8 workers, zipf)".into(), value: service.p95_ms * ms, unit: "ns" });
-    entries.push(Entry { name: "service/p99 (8 workers, zipf)".into(), value: service.p99_ms * ms, unit: "ns" });
-    entries.push(Entry { name: "service/mean time per query (8 workers, zipf)".into(), value: service.elapsed_secs / service.completed.max(1) as f64 * 1e9, unit: "ns" });
-    entries.push(Entry { name: "service/baseline throughput (1 worker)".into(), value: base.qps, unit: "qps" });
-    entries.push(Entry { name: "service/throughput (8 workers, zipf)".into(), value: service.qps, unit: "qps" });
-    entries.push(Entry { name: "service/throughput scaling vs single-threaded".into(), value: scaling, unit: "x" });
-    entries.push(Entry { name: "service/cold throughput scaling (8 workers)".into(), value: cold_scaling, unit: "x" });
-    entries.push(Entry { name: "service/cache hit rate (zipf)".into(), value: service.server_hit_rate * 100.0, unit: "%" });
+    entries.push(Entry { name: "service/baseline p50 (1 worker, cold)".into(), value: base.p50_ms * ms, unit: "ns".into() });
+    entries.push(Entry { name: "service/baseline p99 (1 worker, cold)".into(), value: base.p99_ms * ms, unit: "ns".into() });
+    entries.push(Entry { name: "service/p50 (8 workers, zipf)".into(), value: service.p50_ms * ms, unit: "ns".into() });
+    entries.push(Entry { name: "service/p95 (8 workers, zipf)".into(), value: service.p95_ms * ms, unit: "ns".into() });
+    entries.push(Entry { name: "service/p99 (8 workers, zipf)".into(), value: service.p99_ms * ms, unit: "ns".into() });
+    entries.push(Entry { name: "service/mean time per query (8 workers, zipf)".into(), value: service.elapsed_secs / service.completed.max(1) as f64 * 1e9, unit: "ns".into() });
+    entries.push(Entry { name: "service/baseline throughput (1 worker)".into(), value: base.qps, unit: "qps".into() });
+    entries.push(Entry { name: "service/throughput (8 workers, zipf)".into(), value: service.qps, unit: "qps".into() });
+    entries.push(Entry { name: "service/throughput scaling vs single-threaded".into(), value: scaling, unit: "x".into() });
+    entries.push(Entry { name: "service/cold throughput scaling (8 workers)".into(), value: cold_scaling, unit: "x".into() });
+    entries.push(Entry { name: "service/cache hit rate (zipf)".into(), value: service.server_hit_rate * 100.0, unit: "%".into() });
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_service.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+    write_entries(&out_path, &entries);
 
     assert!(
         scaling >= 4.0,

@@ -39,119 +39,17 @@
 //! (`{"name", "value", "unit"}`); the zero-valued gate entries record
 //! that the run would have aborted otherwise.
 
+use resacc_bench::emit::{Entry, env_u64, write_entries};
 use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use resacc_service::router::{spawn as spawn_router, RouterConfig, RouterHandle, ShardSpec};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
+use resacc_testsuite::process::{request, rwr_bin, serve, wait_for, Proc, TempDir};
+use std::path::Path;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Entry {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
-
-/// The compiled `rwr` CLI, sitting next to this bench in the target dir.
-fn rwr_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("RESACC_RWR_BIN") {
-        return PathBuf::from(p);
-    }
-    let exe = std::env::current_exe().expect("current_exe");
-    let cand = exe
-        .parent()
-        .expect("bench binary has a parent dir")
-        .join(format!("rwr{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        cand.exists(),
-        "rwr binary not found at {} — build it first (`cargo build --release -p resacc-cli`) \
-         or point RESACC_RWR_BIN at it",
-        cand.display()
-    );
-    cand
-}
-
-/// A running `rwr serve` child with its listener addresses scraped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
 fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = Command::new(rwr_bin());
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra)
-        .stdout(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn rwr serve");
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("rwr serve prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-/// One-shot NDJSON request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("backend speaks json")
+    serve(Command::new(rwr_bin()), graph, data_dir, extra)
 }
 
 /// Requests the router has routed so far (reads + mutations) — the
@@ -165,14 +63,9 @@ fn routed_so_far(router_addr: &str) -> u64 {
 
 /// Blocks until the router has routed at least `n` requests.
 fn wait_routed(router_addr: &str, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while routed_so_far(router_addr) < n {
-        assert!(
-            Instant::now() < deadline,
-            "loadgen never reached {n} routed requests"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for(&format!("{n} routed requests"), || {
+        routed_so_far(router_addr) >= n
+    });
 }
 
 fn shard_router(shards: Vec<ShardSpec>, tweak: impl FnOnce(&mut RouterConfig)) -> RouterHandle {
@@ -231,9 +124,7 @@ fn main() {
     // luck of the tenant draw.
     let seed = env_u64("RESACC_BENCH_SHARD_SEED", 4);
     let probes = env_u64("RESACC_BENCH_SHARD_PROBES", 16);
-    let dir = std::env::temp_dir().join(format!("bench-shard-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("bench-shard");
     let graph_path = dir.join("g.txt");
     let graph = resacc_graph::gen::barabasi_albert(200, 3, 7);
     resacc_graph::edgelist::save_edge_list(&graph, &graph_path).expect("write graph");
@@ -301,17 +192,17 @@ fn main() {
     entries.push(Entry {
         name: "shard/mutation scale-out shortfall (2 primaries vs 1, gate 1.8x)".into(),
         value: (1.8 - scaleout).max(0.0),
-        unit: "x",
+        unit: "x".into(),
     });
     entries.push(Entry {
         name: "shard/solo mutation latency equivalent".into(),
         value: 1e9 / solo_tput.max(1e-9),
-        unit: "ns",
+        unit: "ns".into(),
     });
     entries.push(Entry {
         name: "shard/sharded mutation latency equivalent".into(),
         value: 1e9 / sharded_tput.max(1e-9),
-        unit: "ns",
+        unit: "ns".into(),
     });
 
     // ── Phase 2: cross-tenant cache isolation probes ─────────────────
@@ -349,7 +240,7 @@ fn main() {
         entries.push(Entry {
             name: "shard/cross-tenant cache hits".into(),
             value: cross_hits as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         drop(pa);
         drop(pb);
@@ -478,22 +369,22 @@ fn main() {
         entries.push(Entry {
             name: "shard/acked writes lost across per-shard failover".into(),
             value: lost as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "shard/min_version violations under shard failover".into(),
             value: report.min_version_violations as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "shard/untyped errors under shard failover".into(),
             value: (report.errors - typed) as f64,
-            unit: "count",
+            unit: "count".into(),
         });
         entries.push(Entry {
             name: "shard/request p99 across shard failover".into(),
             value: report.p99_ms * 1e6,
-            unit: "ns",
+            unit: "ns".into(),
         });
         router.shutdown().ok();
         ra.kill();
@@ -501,19 +392,5 @@ fn main() {
         rb.kill();
     }
 
-    let mut json = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            e.name,
-            e.value,
-            e.unit,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_shard.json");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
-    let _ = std::fs::remove_dir_all(&dir);
+    write_entries(&out_path, &entries);
 }

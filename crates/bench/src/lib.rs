@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod datasets;
+pub mod emit;
 pub mod harness;
 
 pub use datasets::{build, build_all, Dataset, Scale};

@@ -22,43 +22,24 @@ fn load_graph(cli: &Cli) -> Result<CsrGraph, String> {
     Ok(graph)
 }
 
-/// Opens an NDJSON client connection honoring `--timeout-ms` for both the
-/// connect and subsequent reads (0 = wait forever).
-fn connect_client(addr: &str, timeout_ms: u64) -> Result<std::net::TcpStream, String> {
-    use std::net::{TcpStream, ToSocketAddrs};
-    let stream = if timeout_ms == 0 {
-        TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?
-    } else {
-        let timeout = std::time::Duration::from_millis(timeout_ms);
-        let sock = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("resolving {addr}: {e}"))?
-            .next()
-            .ok_or_else(|| format!("resolving {addr}: no address"))?;
-        let s = TcpStream::connect_timeout(&sock, timeout)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?;
-        s.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-        s
-    };
-    Ok(stream)
-}
-
-/// One request line → one response line against a live server.
+/// One request line → one response line against a live server,
+/// honoring `--timeout-ms` for both the connect and the read (0 = wait
+/// forever).
 fn client_exchange(cli: &Cli, request: &str) -> Result<resacc_service::json::Json, String> {
+    use resacc_service::client::{self, ExchangeError};
     use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = connect_client(&cli.addr, cli.timeout_ms)?;
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("sending to {}: {e}", cli.addr))?;
-    let mut line = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("reading from {}: {e}", cli.addr))?;
-    if line.is_empty() {
-        return Err(format!("{} closed the connection", cli.addr));
-    }
-    Json::parse(line.trim()).map_err(|e| format!("bad response from {}: {e}", cli.addr))
+    let addr = &cli.addr;
+    let timeout = client::timeout_from_ms(cli.timeout_ms);
+    let mut conn =
+        client::connect(addr, timeout).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let line = client::exchange_split(&mut conn, request, timeout).map_err(|e| match e {
+        ExchangeError::PreWrite(e) => format!("sending to {addr}: {e}"),
+        ExchangeError::PostWrite(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            format!("{addr} closed the connection")
+        }
+        ExchangeError::PostWrite(e) => format!("reading from {addr}: {e}"),
+    })?;
+    Json::parse(&line).map_err(|e| format!("bad response from {addr}: {e}"))
 }
 
 fn params_for(cli: &Cli, graph: &CsrGraph) -> RwrParams {
@@ -169,7 +150,7 @@ fn remote_query(cli: &Cli) -> Result<(), String> {
         None => String::new(),
     };
     let request = format!(
-        "{{\"id\":1,\"op\":\"query\",\"source\":{},\"seed\":{},\"k\":{}{ns_field}}}\n",
+        "{{\"id\":1,\"op\":\"query\",\"source\":{},\"seed\":{},\"k\":{}{ns_field}}}",
         cli.source, cli.seed, cli.top
     );
     let response = client_exchange(cli, &request)?;
@@ -207,8 +188,8 @@ fn remote_query(cli: &Cli) -> Result<(), String> {
 fn remote_stats(cli: &Cli) -> Result<(), String> {
     use resacc_service::json::Json;
     let request = match checked_namespace(cli)? {
-        Some(ns) => format!("{{\"id\":1,\"op\":\"stats\",\"namespace\":\"{ns}\"}}\n"),
-        None => "{\"id\":1,\"op\":\"stats\"}\n".to_string(),
+        Some(ns) => format!("{{\"id\":1,\"op\":\"stats\",\"namespace\":\"{ns}\"}}"),
+        None => "{\"id\":1,\"op\":\"stats\"}".to_string(),
     };
     let response = client_exchange(cli, &request)?;
     if response.get("ok").and_then(Json::as_bool) != Some(true) {
@@ -670,8 +651,8 @@ fn sync_tenant_set(
 pub fn promote(cli: &Cli) -> Result<(), String> {
     use resacc_service::json::Json;
     let request = match cli.fence.as_deref() {
-        Some(target) => format!("{{\"id\":1,\"op\":\"promote\",\"fence\":\"{target}\"}}\n"),
-        None => "{\"id\":1,\"op\":\"promote\"}\n".to_string(),
+        Some(target) => format!("{{\"id\":1,\"op\":\"promote\",\"fence\":\"{target}\"}}"),
+        None => "{\"id\":1,\"op\":\"promote\"}".to_string(),
     };
     let response = client_exchange(cli, &request)?;
     if response.get("ok").and_then(Json::as_bool) == Some(true) {
@@ -927,10 +908,12 @@ mod tests {
         }
     }
 
-    fn temp_edge_list() -> std::path::PathBuf {
+    /// A graph file of the calling test's own: tests run in parallel and
+    /// each removes its file when done.
+    fn temp_edge_list(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("resacc-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g-{}.txt", std::process::id()));
+        let path = dir.join(format!("g-{tag}-{}.txt", std::process::id()));
         let g = resacc_graph::gen::cycle(6);
         resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
         path
@@ -938,7 +921,7 @@ mod tests {
 
     #[test]
     fn query_pair_stats_run_end_to_end() {
-        let path = temp_edge_list();
+        let path = temp_edge_list("e2e");
         let p = path.to_string_lossy().to_string();
         assert!(query(&cli_for(&p, Command::Query)).is_ok());
         assert!(pair(&cli_for(&p, Command::Pair)).is_ok());
@@ -948,7 +931,7 @@ mod tests {
 
     #[test]
     fn convert_roundtrip() {
-        let path = temp_edge_list();
+        let path = temp_edge_list("convert");
         let out = path.with_extension("racg");
         let mut cli = cli_for(&path.to_string_lossy(), Command::Convert);
         cli.out = Some(out.to_string_lossy().to_string());
@@ -962,7 +945,7 @@ mod tests {
 
     #[test]
     fn out_of_range_source_rejected() {
-        let path = temp_edge_list();
+        let path = temp_edge_list("range");
         let mut cli = cli_for(&path.to_string_lossy(), Command::Query);
         cli.source = 999;
         assert!(query(&cli).is_err());
@@ -977,7 +960,7 @@ mod tests {
 
     #[test]
     fn every_algo_flag_works() {
-        let path = temp_edge_list();
+        let path = temp_edge_list("algos");
         for algo in ["resacc", "fora", "mc", "power", "fwd"] {
             for threads in [0, 4] {
                 let mut cli = cli_for(&path.to_string_lossy(), Command::Query);

@@ -1,6 +1,8 @@
 //! End-to-end tests driving the compiled `rwr` binary over real files.
 
-use std::path::PathBuf;
+use resacc_service::json::Json;
+use resacc_testsuite::process::{call, connect, request, Proc, TempDir};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn rwr() -> Command {
@@ -10,18 +12,25 @@ fn rwr() -> Command {
 /// Writes the shared test graph into a directory of the caller's own:
 /// tests run in parallel threads, so a shared path would let one test
 /// read a graph another is still writing.
-fn temp_graph(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-e2e-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(500, 4, 33);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
+fn temp_graph(tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("e2e-{tag}"));
+    let graph = dir.graph(500, 4, 33);
+    (dir, graph)
+}
+
+/// `rwr serve` on an ephemeral port with no durable store.
+fn serve(graph: &Path, extra: &[&str]) -> Proc {
+    let mut cmd = rwr();
+    cmd.args(["serve", "--graph"])
+        .arg(graph)
+        .args(["--listen", "127.0.0.1:0"])
+        .args(extra);
+    Proc::spawn(cmd)
 }
 
 #[test]
 fn query_prints_topk_with_source_first() {
-    let graph = temp_graph("topk");
+    let (_dir, graph) = temp_graph("topk");
     let out = rwr()
         .args(["query", "--graph"])
         .arg(&graph)
@@ -38,7 +47,7 @@ fn query_prints_topk_with_source_first() {
 
 #[test]
 fn query_is_deterministic_per_seed() {
-    let graph = temp_graph("determinism");
+    let (_dir, graph) = temp_graph("determinism");
     let run = |seed: &str| {
         let out = rwr()
             .args(["query", "--graph"])
@@ -60,7 +69,7 @@ fn query_is_deterministic_per_seed() {
 
 #[test]
 fn pair_and_stats_succeed() {
-    let graph = temp_graph("pair-stats");
+    let (_dir, graph) = temp_graph("pair-stats");
     let out = rwr()
         .args(["pair", "--graph"])
         .arg(&graph)
@@ -79,7 +88,7 @@ fn pair_and_stats_succeed() {
 
 #[test]
 fn convert_then_query_binary() {
-    let graph = temp_graph("convert");
+    let (_dir, graph) = temp_graph("convert");
     let racg = graph.with_extension("racg");
     let out = rwr()
         .args(["convert", "--graph"])
@@ -101,12 +110,7 @@ fn convert_then_query_binary() {
 
 #[test]
 fn serve_answers_queries_matching_a_direct_session() {
-    use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::process::Stdio;
-
-    let graph_path = temp_graph("serve");
+    let (_dir, graph_path) = temp_graph("serve");
 
     // The ground truth: the same graph, parameters, and seed, queried
     // directly in-process. The server must reproduce this bit-for-bit.
@@ -121,34 +125,12 @@ fn serve_answers_queries_matching_a_direct_session() {
     let direct = session.query(7, 4242).scores;
     let direct_top = session.top_k(7, 5, 4242);
 
-    let mut child = rwr()
-        .args(["serve", "--graph"])
-        .arg(&graph_path)
-        .args(["--listen", "127.0.0.1:0", "--workers", "3"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut child_out = BufReader::new(child.stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    let mut roundtrip = |line: &str| -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("server speaks json")
-    };
-
-    let r = roundtrip(r#"{"id":1,"op":"query","source":7,"seed":4242,"k":5,"full":true}"#);
+    let mut server = serve(&graph_path, &["--workers", "3"]);
+    let mut conn = connect(&server.addr);
+    let r = call(
+        &mut conn,
+        r#"{"id":1,"op":"query","source":7,"seed":4242,"k":5,"full":true}"#,
+    );
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
     let scores: Vec<f64> = r
         .get("scores")
@@ -176,43 +158,41 @@ fn serve_answers_queries_matching_a_direct_session() {
     assert_eq!(top, direct_top, "top-k must match the direct session");
 
     // Same request again: served from cache, same bits.
-    let again = roundtrip(r#"{"id":2,"op":"query","source":7,"seed":4242,"k":5}"#);
+    let again = call(
+        &mut conn,
+        r#"{"id":2,"op":"query","source":7,"seed":4242,"k":5}"#,
+    );
     assert_eq!(again.get("cached").unwrap().as_bool(), Some(true));
     assert_eq!(again.get("top").unwrap().render(), r.get("top").unwrap().render());
 
-    let bye = roundtrip(r#"{"op":"shutdown"}"#);
+    let bye = call(&mut conn, r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok").unwrap().as_bool(), Some(true));
-    drop(stream);
-    let status = child.wait().unwrap();
-    assert!(status.success(), "server must exit cleanly on shutdown");
+    drop(conn);
+    assert!(
+        server.wait().success(),
+        "server must exit cleanly on shutdown"
+    );
 }
 
 #[test]
 fn loadgen_reports_against_live_server() {
-    use std::io::{BufRead, BufReader};
-    use std::process::Stdio;
-
-    let graph_path = temp_graph("loadgen");
-    let mut child = rwr()
-        .args(["serve", "--graph"])
-        .arg(&graph_path)
-        .args(["--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut child_out = BufReader::new(child.stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
+    let (_dir, graph_path) = temp_graph("loadgen");
+    let server = serve(&graph_path, &[]);
+    let addr = &server.addr;
 
     let out = rwr()
         .args([
-            "loadgen", "--addr", &addr, "--requests", "60", "--connections", "2",
-            "--sources", "6", "--zipf", "1.2",
+            "loadgen",
+            "--addr",
+            addr,
+            "--requests",
+            "60",
+            "--connections",
+            "2",
+            "--sources",
+            "6",
+            "--zipf",
+            "1.2",
         ])
         .output()
         .unwrap();
@@ -221,9 +201,6 @@ fn loadgen_reports_against_live_server() {
     assert!(stdout.contains("completed"), "{stdout}");
     assert!(stdout.contains("60"), "{stdout}");
     assert!(stdout.contains("hit rate"), "{stdout}");
-
-    child.kill().ok();
-    child.wait().ok();
 }
 
 #[test]
@@ -247,32 +224,9 @@ fn bad_usage_exits_nonzero_with_usage_text() {
 /// (where only the plan's target ids may deviate, with typed errors).
 #[test]
 fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
-    use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::process::Stdio;
-
-    let graph_path = temp_graph("threads-replay");
-
-    let spawn_serve = |extra: &[&str]| -> (std::process::Child, String) {
-        let mut child = rwr()
-            .args(["serve", "--graph"])
-            .arg(&graph_path)
-            .args(["--listen", "127.0.0.1:0", "--workers", "2"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap();
-        let mut child_out = BufReader::new(child.stdout.take().unwrap());
-        let addr = loop {
-            let mut line = String::new();
-            assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-            if let Some(rest) = line.trim().strip_prefix("listening on ") {
-                break rest.to_string();
-            }
-        };
-        (child, addr)
-    };
+    let (_dir, graph_path) = temp_graph("threads-replay");
+    let spawn_serve =
+        |extra: &[&str]| -> Proc { serve(&graph_path, &[&["--workers", "2"], extra].concat()) };
 
     // One fixed id stream, fresh (source, seed) per id so every request
     // computes (no cross-request cache hits hiding engine divergence).
@@ -283,20 +237,15 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     // Replays the stream on one connection; per id, Ok(rendered scores) or
     // Err(typed error code).
     let replay = |addr: &str| -> Vec<(u64, Result<String, String>)> {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
+        let mut conn = connect(addr);
         ids.iter()
             .map(|&id| {
                 let line = format!(
-                    "{{\"id\":{id},\"op\":\"query\",\"source\":{},\"seed\":{},\"full\":true}}\n",
+                    "{{\"id\":{id},\"op\":\"query\",\"source\":{},\"seed\":{},\"full\":true}}",
                     source_of(id),
                     seed_of(id)
                 );
-                stream.write_all(line.as_bytes()).unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                let r = Json::parse(response.trim()).expect("server speaks json");
+                let r = call(&mut conn, &line);
                 assert_eq!(r.get("id").unwrap().as_u64(), Some(id));
                 if r.get("ok").unwrap().as_bool() == Some(true) {
                     (id, Ok(r.get("scores").unwrap().render()))
@@ -306,21 +255,18 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
             })
             .collect()
     };
-    let shutdown = |mut child: std::process::Child, addr: &str| {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).unwrap();
-        assert!(child.wait().unwrap().success());
+    let shutdown = |mut server: Proc| {
+        request(&server.addr, r#"{"op":"shutdown"}"#);
+        assert!(server.wait().success());
     };
 
     // Clean runs at 1 and 4 threads per query.
-    let (child1, addr1) = spawn_serve(&["--threads", "1"]);
-    let serial = replay(&addr1);
-    shutdown(child1, &addr1);
-    let (child4, addr4) = spawn_serve(&["--threads", "4"]);
-    let parallel = replay(&addr4);
-    shutdown(child4, &addr4);
+    let server1 = spawn_serve(&["--threads", "1"]);
+    let serial = replay(&server1.addr);
+    shutdown(server1);
+    let server4 = spawn_serve(&["--threads", "4"]);
+    let parallel = replay(&server4.addr);
+    shutdown(server4);
     assert_eq!(serial, parallel, "threads must never change served bytes");
 
     // Direct in-process session: the served scores must be bit-identical.
@@ -351,10 +297,14 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     // Chaos run at 4 threads: the fault plan keys on request id (expiry
     // checked before panic), so exactly ids {7,14,21} time out, {10,20}
     // panic, and every other id must still serve the identical bytes.
-    let (chaos_child, chaos_addr) =
-        spawn_serve(&["--threads", "4", "--chaos", "panic=10,delay=16:2,expire=7,seed=42"]);
-    let chaotic = replay(&chaos_addr);
-    shutdown(chaos_child, &chaos_addr);
+    let chaos_server = spawn_serve(&[
+        "--threads",
+        "4",
+        "--chaos",
+        "panic=10,delay=16:2,expire=7,seed=42",
+    ]);
+    let chaotic = replay(&chaos_server.addr);
+    shutdown(chaos_server);
     for ((id, clean), (cid, chaotic)) in serial.iter().zip(&chaotic) {
         assert_eq!(id, cid);
         match (id % 7 == 0, id % 10 == 0) {
@@ -371,4 +321,19 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
             _ => assert_eq!(chaotic, clean, "chaos changed non-faulted id {id}"),
         }
     }
+}
+
+/// A dropped [`Proc`] kills and reaps its child, so nothing is left
+/// listening: a failed assertion cannot leak a running server.
+#[test]
+fn dropped_proc_frees_its_listen_address() {
+    let (_dir, graph) = temp_graph("drop");
+    let server = serve(&graph, &[]);
+    let addr = server.addr.clone();
+    assert!(std::net::TcpStream::connect(&addr).is_ok(), "server is up");
+    drop(server);
+    assert!(
+        std::net::TcpStream::connect(&addr).is_err(),
+        "{addr} still accepts connections after its Proc dropped"
+    );
 }

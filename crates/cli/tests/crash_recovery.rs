@@ -24,31 +24,9 @@
 //! through the real binary; multi-record batch assembly, rollback, and
 //! torn-tail recovery are covered by the `resacc` WAL unit tests.
 
-use resacc_service::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-fn rwr() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_rwr"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(300, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
+use resacc_testsuite::process::{call, connect, serve, Proc, TempDir};
+use std::path::Path;
+use std::process::Command;
 
 /// The fixed mutation history every test drives, as NDJSON requests.
 fn mutation_lines() -> Vec<String> {
@@ -90,117 +68,35 @@ fn ground_truth(graph_path: &Path, mutations: u64, source: u32, seed: u64) -> Ve
     session.query(source, seed).scores
 }
 
-/// A running server child whose stdout is pumped into a channel so the
-/// harness can watch for the `CRASH_POINT` marker while blocked on a
-/// socket that will never answer.
-struct Server {
-    child: Child,
-    stdout: mpsc::Receiver<String>,
-    addr: String,
-    banner: Vec<String>,
-}
-
+/// `rwr serve` with a snapshot cadence, armed at `crash_spec` when given.
 fn spawn_serve(
     graph: &Path,
     data_dir: &Path,
     snapshot_every: &str,
     crash_spec: Option<&str>,
     extra_args: &[&str],
-) -> Server {
-    let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(["--snapshot-every", snapshot_every])
-        .args(extra_args);
+) -> Proc {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rwr"));
     if let Some(spec) = crash_spec {
         cmd.env("RESACC_CRASH_POINT", spec);
     }
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut banner = Vec::new();
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("server prints `listening on`");
-        match line.strip_prefix("listening on ") {
-            Some(rest) => break rest.to_string(),
-            None => banner.push(line),
-        }
-    };
-    Server {
-        child,
-        stdout: rx,
-        addr,
-        banner,
-    }
-}
-
-fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).unwrap();
-    let reader = BufReader::new(stream.try_clone().unwrap());
-    (stream, reader)
-}
-
-fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("server speaks json")
+    let mut extra = vec!["--snapshot-every", snapshot_every];
+    extra.extend_from_slice(extra_args);
+    serve(cmd, graph, data_dir, &extra)
 }
 
 /// Streams the mutation history at the armed server until the crash point
 /// fires; returns how many mutations were *acknowledged* before the crash.
-fn mutate_until_crash(server: &Server, point: &str) -> u64 {
-    let (stream, mut reader) = connect(&server.addr);
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    let mut stream = stream;
+fn mutate_until_crash(server: &Proc, point: &str) -> u64 {
+    let mut conn = connect(&server.addr);
+    let marker = format!("CRASH_POINT {point}");
     let mut acked = 0u64;
     for line in mutation_lines() {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        // Keep partial reads across timeouts: read_line appends.
-        let mut response = String::new();
-        loop {
-            match reader.read_line(&mut response) {
-                Ok(0) => panic!("server closed the connection mid-history"),
-                Ok(_) => {
-                    let r = Json::parse(response.trim()).expect("server speaks json");
-                    assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{response}");
-                    acked = r.get("version").unwrap().as_u64().unwrap();
-                    break;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    while let Ok(l) = server.stdout.try_recv() {
-                        if l == format!("CRASH_POINT {point}") {
-                            return acked;
-                        }
-                    }
-                    assert!(Instant::now() < deadline, "no ack and no crash marker");
-                }
-                Err(e) => panic!("socket error: {e}"),
-            }
-        }
+        let Some(r) = server.reply_or_marker(&mut conn, &line, &marker) else {
+            return acked;
+        };
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        acked = r.get("version").unwrap().as_u64().unwrap();
     }
     panic!("crash point {point} never fired over the full history")
 }
@@ -239,8 +135,8 @@ fn crash_and_recover_with(
     expect_truncation: bool,
     extra_args: &[&str],
 ) {
-    let dir = temp_dir(tag);
-    let graph = graph_file(&dir);
+    let dir = TempDir::new(&format!("crash-{tag}"));
+    let graph = dir.graph(300, 3, 7);
     let data = dir.join("data");
     let point = crash_spec.split(':').next().unwrap();
 
@@ -249,8 +145,7 @@ fn crash_and_recover_with(
     let mut server = spawn_serve(&graph, &data, snapshot_every, Some(crash_spec), extra_args);
     let acked = mutate_until_crash(&server, point);
     assert_eq!(acked, expected_acked, "acks before the crash");
-    server.child.kill().unwrap();
-    server.child.wait().unwrap();
+    server.kill();
 
     // Lifetime 2: recover. The banner must report what happened.
     let mut server = spawn_serve(&graph, &data, snapshot_every, None, extra_args);
@@ -259,8 +154,8 @@ fn crash_and_recover_with(
         "missing recovery banner: {:?}",
         server.banner
     );
-    let (mut stream, mut reader) = connect(&server.addr);
-    let s = roundtrip(&mut stream, &mut reader, r#"{"op":"stats"}"#);
+    let mut conn = connect(&server.addr);
+    let s = call(&mut conn, r#"{"op":"stats"}"#);
     assert_eq!(
         s.get("version").unwrap().as_u64(),
         Some(expected_survivors),
@@ -294,9 +189,8 @@ fn crash_and_recover_with(
 
     // The recovered graph answers bit-identically to a never-crashed
     // in-process replay of the surviving history prefix.
-    let r = roundtrip(
-        &mut stream,
-        &mut reader,
+    let r = call(
+        &mut conn,
         r#"{"id":9,"op":"query","source":3,"seed":77,"full":true}"#,
     );
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
@@ -314,11 +208,10 @@ fn crash_and_recover_with(
         assert_eq!(s.to_bits(), t.to_bits(), "node {i}: served != ground truth");
     }
 
-    let bye = roundtrip(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
+    let bye = call(&mut conn, r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok").unwrap().as_bool(), Some(true));
-    drop(stream);
-    assert!(server.child.wait().unwrap().success());
-    std::fs::remove_dir_all(&dir).ok();
+    drop(conn);
+    assert!(server.wait().success());
 }
 
 /// Crash with half of record 3 on disk: mutations 1–2 survive, the torn

@@ -14,110 +14,24 @@
 //!   points (durably applied but unacknowledged state) reconverges after
 //!   restart with nothing lost and nothing double-applied.
 
+use resacc_service::client::Conn;
 use resacc_service::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use resacc_testsuite::process::{call, connect, request, serve, wait_for, Proc, TempDir};
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn rwr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rwr"))
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(300, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
-
-/// A running `rwr serve` child with its stdout pumped into a channel.
-struct Server {
-    child: Child,
-    stdout: mpsc::Receiver<String>,
-    /// NDJSON front-end address.
-    addr: String,
-    /// Replication-listener address (primaries only).
-    repl_addr: Option<String>,
-}
-
-impl Server {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str], crash_spec: Option<&str>) -> Server {
+/// `rwr serve`, armed at `crash_spec` when given.
+fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str], crash_spec: Option<&str>) -> Proc {
     let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra);
     if let Some(spec) = crash_spec {
         cmd.env("RESACC_CRASH_POINT", spec);
     }
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("server prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Server {
-        child,
-        stdout: rx,
-        addr,
-        repl_addr,
-    }
-}
-
-fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).unwrap();
-    let reader = BufReader::new(stream.try_clone().unwrap());
-    (stream, reader)
-}
-
-fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("server speaks json")
-}
-
-/// One-shot request on a fresh connection (survives server restarts).
-fn request(addr: &str, line: &str) -> Json {
-    let (mut stream, mut reader) = connect(addr);
-    roundtrip(&mut stream, &mut reader, line)
+    serve(cmd, graph, data_dir, extra)
 }
 
 fn version_of(addr: &str) -> u64 {
@@ -128,18 +42,9 @@ fn version_of(addr: &str) -> u64 {
 }
 
 fn wait_for_version(addr: &str, version: u64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let v = version_of(addr);
-        if v >= version {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server at {addr} stuck at version {v} waiting for {version}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    wait_for(&format!("{addr} to reach version {version}"), || {
+        version_of(addr) >= version
+    });
 }
 
 /// Full score vector as bit patterns — the cross-process identity check.
@@ -158,7 +63,7 @@ fn query_bits(addr: &str, source: u32, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn mutate(addr: &str, stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, i: u64) -> u64 {
+fn mutate(addr: &str, conn: &mut Conn, i: u64) -> u64 {
     let line = match i % 3 {
         0 => format!(
             r#"{{"id":{i},"op":"insert_edges","edges":[[{},{}]]}}"#,
@@ -168,15 +73,15 @@ fn mutate(addr: &str, stream: &mut TcpStream, reader: &mut BufReader<TcpStream>,
         1 => format!(r#"{{"id":{i},"op":"delete_edges","edges":[[{},{}]]}}"#, i % 300, (i + 1) % 300),
         _ => format!(r#"{{"id":{i},"op":"delete_node","node":{}}}"#, (i * 13) % 300),
     };
-    let r = roundtrip(stream, reader, &line);
+    let r = call(conn, &line);
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "mutation {i} on {addr}: {r:?}");
     r.get("version").unwrap().as_u64().unwrap()
 }
 
 #[test]
 fn replica_answers_bit_identically_and_rejects_writes() {
-    let dir = temp_dir("reads");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("repl-reads");
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -192,10 +97,10 @@ fn replica_answers_bit_identically_and_rejects_writes() {
     );
 
     // History both before and after the replica connects.
-    let (mut stream, mut reader) = connect(&primary.addr);
+    let mut conn = connect(&primary.addr);
     let mut version = 0;
     for i in 0..8 {
-        version = mutate(&primary.addr, &mut stream, &mut reader, i);
+        version = mutate(&primary.addr, &mut conn, i);
     }
     assert_eq!(version, 8);
     wait_for_version(&replica.addr, version);
@@ -228,16 +133,15 @@ fn replica_answers_bit_identically_and_rejects_writes() {
     assert_eq!(repl.get("applied_version").unwrap().as_u64(), Some(version));
     assert_eq!(repl.get("read_only").unwrap().as_bool(), Some(true));
 
-    drop(stream);
+    drop(conn);
     replica.kill();
     primary.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigkill_primary_then_promote_loses_nothing_acknowledged() {
-    let dir = temp_dir("promote");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("repl-promote");
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -252,17 +156,17 @@ fn sigkill_primary_then_promote_loses_nothing_acknowledged() {
         None,
     );
 
-    let (mut stream, mut reader) = connect(&primary.addr);
+    let mut conn = connect(&primary.addr);
     let mut acked = 0;
     for i in 0..6 {
-        acked = mutate(&primary.addr, &mut stream, &mut reader, i);
+        acked = mutate(&primary.addr, &mut conn, i);
     }
     wait_for_version(&replica.addr, acked);
     let ground_truth = query_bits(&primary.addr, 3, 77);
 
     // SIGKILL the primary mid-flight: no flush, no graceful drain.
     primary.kill();
-    drop(stream);
+    drop(conn);
 
     // Promote via the CLI; it must report the full acknowledged version.
     let output = rwr()
@@ -302,15 +206,14 @@ fn sigkill_primary_then_promote_loses_nothing_acknowledged() {
     assert!(!again.status.success(), "double promote must fail");
 
     replica.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Shared scenario for the replica-side crash points: SIGKILL the replica
 /// at `crash_spec` (a durably-applied-but-unacknowledged state), restart it
 /// on the same data dir, and require exact reconvergence.
 fn replica_crash_and_reconverge(tag: &str, crash_spec: &str) {
-    let dir = temp_dir(tag);
-    let graph = graph_file(&dir);
+    let dir = TempDir::new(&format!("repl-{tag}"));
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -324,26 +227,18 @@ fn replica_crash_and_reconverge(tag: &str, crash_spec: &str) {
     // Drive mutations until the armed point parks the replica's apply
     // thread (its front end keeps serving; the marker tells us when).
     let point = crash_spec.split(':').next().unwrap();
-    let (mut stream, mut reader) = connect(&primary.addr);
+    let mut conn = connect(&primary.addr);
+    let marker = format!("CRASH_POINT {point}");
     let mut version = 0;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    'armed: loop {
-        version = mutate(&primary.addr, &mut stream, &mut reader, version);
-        loop {
-            match replica.stdout.try_recv() {
-                Ok(line) if line == format!("CRASH_POINT {point}") => break 'armed,
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        assert!(Instant::now() < deadline, "crash point {point} never fired");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    wait_for(&marker, || {
+        version = mutate(&primary.addr, &mut conn, version);
+        replica.saw(&marker)
+    });
     replica.kill();
 
     // More history lands while the replica is down.
     for _ in 0..3 {
-        version = mutate(&primary.addr, &mut stream, &mut reader, version);
+        version = mutate(&primary.addr, &mut conn, version);
     }
 
     // Restart unarmed on the same data dir: re-handshake from the durable
@@ -357,10 +252,9 @@ fn replica_crash_and_reconverge(tag: &str, crash_spec: &str) {
         "restarted replica diverged after {crash_spec}"
     );
 
-    drop(stream);
+    drop(conn);
     replica.kill();
     primary.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Crash after the record is durably applied but before the ack is sent:
@@ -385,8 +279,8 @@ fn replica_sigkill_pre_ack_reconverges() {
 /// re-fence the new leader backwards, even across this worst-case crash.
 #[test]
 fn promotion_epoch_survives_sigkill_and_cannot_be_refenced_backwards() {
-    let dir = temp_dir("epoch");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("repl-epoch");
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -402,14 +296,14 @@ fn promotion_epoch_survives_sigkill_and_cannot_be_refenced_backwards() {
         Some("promote-post-epoch"),
     );
 
-    let (mut stream, mut reader) = connect(&primary.addr);
+    let mut conn = connect(&primary.addr);
     let mut acked = 0;
     for i in 0..4 {
-        acked = mutate(&primary.addr, &mut stream, &mut reader, i);
+        acked = mutate(&primary.addr, &mut conn, i);
     }
     wait_for_version(&replica.addr, acked);
     primary.kill();
-    drop(stream);
+    drop(conn);
 
     // Promote in the background: the armed point parks the server between
     // the epoch write and the reply, so the CLI call never returns.
@@ -419,18 +313,9 @@ fn promotion_epoch_survives_sigkill_and_cannot_be_refenced_backwards() {
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match replica.stdout.try_recv() {
-            Ok(line) if line == "CRASH_POINT promote-post-epoch" => break,
-            Ok(_) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-        assert!(
-            Instant::now() < deadline,
-            "promote-post-epoch crash point never fired"
-        );
-    }
+    wait_for("CRASH_POINT promote-post-epoch", || {
+        replica.saw("CRASH_POINT promote-post-epoch")
+    });
     replica.kill();
     promote.kill().ok();
     promote.wait().ok();
@@ -477,7 +362,6 @@ fn promotion_epoch_survives_sigkill_and_cannot_be_refenced_backwards() {
     assert_eq!(m.get("version").unwrap().as_u64(), Some(acked + 1));
 
     promoted.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Group commit + replication, the durability latch ordering: a batch
@@ -489,8 +373,8 @@ fn promotion_epoch_survives_sigkill_and_cannot_be_refenced_backwards() {
 /// everywhere.
 #[test]
 fn group_commit_publishes_to_hub_only_after_durability() {
-    let dir = temp_dir("gc-hub");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("repl-gc-hub");
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -512,45 +396,20 @@ fn group_commit_publishes_to_hub_only_after_durability() {
 
     // Mutations 0..=3 commit normally; mutation 4's batch tears pre-fsync
     // and parks the leader, so its ack never arrives.
-    let (stream, mut reader) = connect(&primary.addr);
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    let mut stream = stream;
+    let mut conn = connect(&primary.addr);
     let mut acked = 0u64;
-    'history: for i in 0..8u64 {
+    for i in 0..8u64 {
         let line = format!(
             r#"{{"id":{i},"op":"insert_edges","edges":[[{},{}]]}}"#,
             i % 300,
             (i * 7 + 1) % 300
         );
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut response = String::new();
-        loop {
-            match reader.read_line(&mut response) {
-                Ok(0) => panic!("primary closed the connection mid-history"),
-                Ok(_) => {
-                    let r = Json::parse(response.trim()).unwrap();
-                    assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{response}");
-                    acked = r.get("version").unwrap().as_u64().unwrap();
-                    break;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    while let Ok(l) = primary.stdout.try_recv() {
-                        if l == "CRASH_POINT wal-group-pre-fsync" {
-                            break 'history;
-                        }
-                    }
-                    assert!(Instant::now() < deadline, "no ack and no crash marker");
-                }
-                Err(e) => panic!("socket error: {e}"),
-            }
-        }
+        let marker = "CRASH_POINT wal-group-pre-fsync";
+        let Some(r) = primary.reply_or_marker(&mut conn, &line, marker) else {
+            break;
+        };
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        acked = r.get("version").unwrap().as_u64().unwrap();
     }
     assert_eq!(acked, 4, "exactly the pre-batch history must be acked");
 
@@ -566,7 +425,7 @@ fn group_commit_publishes_to_hub_only_after_durability() {
 
     // Promote over the corpse: zero acknowledged loss, bit-identical tail.
     primary.kill();
-    drop(stream);
+    drop(conn);
     let output = rwr()
         .args(["promote", "--addr", &replica.addr])
         .output()
@@ -585,7 +444,6 @@ fn group_commit_publishes_to_hub_only_after_durability() {
     assert_eq!(m.get("version").unwrap().as_u64(), Some(acked + 1));
 
     replica.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Group commit under genuinely concurrent writers, then SIGKILL-promote:
@@ -593,8 +451,8 @@ fn group_commit_publishes_to_hub_only_after_durability() {
 /// promoted scores match the primary's pre-kill answers bit-for-bit.
 #[test]
 fn group_commit_concurrent_writers_promote_with_zero_acked_loss() {
-    let dir = temp_dir("gc-promote");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("repl-gc-promote");
+    let graph = dir.graph(300, 3, 7);
     let mut primary = spawn_serve(
         &graph,
         &dir.join("primary"),
@@ -622,7 +480,7 @@ fn group_commit_concurrent_writers_promote_with_zero_acked_loss() {
         .map(|w| {
             let addr = primary.addr.clone();
             std::thread::spawn(move || {
-                let (mut stream, mut reader) = connect(&addr);
+                let mut conn = connect(&addr);
                 for i in 0..6u64 {
                     let line = format!(
                         r#"{{"id":{},"op":"insert_edges","edges":[[{},{}]]}}"#,
@@ -630,7 +488,7 @@ fn group_commit_concurrent_writers_promote_with_zero_acked_loss() {
                         (w * 60 + i) % 300,
                         (w * 60 + i + 31) % 300
                     );
-                    let r = roundtrip(&mut stream, &mut reader, &line);
+                    let r = call(&mut conn, &line);
                     assert_eq!(
                         r.get("ok").unwrap().as_bool(),
                         Some(true),
@@ -678,5 +536,4 @@ fn group_commit_concurrent_writers_promote_with_zero_acked_loss() {
     );
 
     replica.kill();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,94 +14,11 @@
 //!   `rwr promote --addr`) work against the router with `--timeout-ms`.
 
 use resacc_service::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::Duration;
+use resacc_testsuite::process::{request, serve, Proc, TempDir};
+use std::process::Command;
 
 fn rwr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rwr"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-router-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(300, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
-
-/// A running `rwr` child (serve or router) with its stdout pumped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-/// Spawns an `rwr` child and scrapes `listening on <addr>` (and the
-/// replication listener line, when present) from its stdout.
-fn spawn_scraped(mut cmd: Command) -> Proc {
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("child prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra);
-    spawn_scraped(cmd)
 }
 
 fn spawn_router(backends: &[String], extra: &[&str]) -> Proc {
@@ -109,34 +26,22 @@ fn spawn_router(backends: &[String], extra: &[&str]) -> Proc {
     cmd.args(["router", "--backends", &backends.join(",")])
         .args(["--listen", "127.0.0.1:0"])
         .args(extra);
-    spawn_scraped(cmd)
-}
-
-/// One-shot request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("router speaks json")
+    Proc::spawn(cmd)
 }
 
 #[test]
 fn router_cluster_survives_replica_and_primary_death() {
-    let dir = temp_dir("cluster");
-    let graph = graph_file(&dir);
-    let mut primary = spawn_serve(
+    let dir = TempDir::new("router-cluster");
+    let graph = dir.graph(300, 3, 7);
+    let mut primary = serve(
+        rwr(),
         &graph,
         &dir.join("p"),
         &["--replication-listen", "127.0.0.1:0"],
     );
     let repl = primary.repl_addr.clone().expect("primary lists repl addr");
-    let mut replica1 = spawn_serve(&graph, &dir.join("r1"), &["--replicate-from", &repl]);
-    let mut replica2 = spawn_serve(&graph, &dir.join("r2"), &["--replicate-from", &repl]);
+    let mut replica1 = serve(rwr(), &graph, &dir.join("r1"), &["--replicate-from", &repl]);
+    let mut replica2 = serve(rwr(), &graph, &dir.join("r2"), &["--replicate-from", &repl]);
     let backends = vec![
         primary.addr.clone(),
         replica1.addr.clone(),
@@ -261,20 +166,20 @@ fn router_cluster_survives_replica_and_primary_death() {
     assert_eq!(shutdown.get("ok").and_then(Json::as_bool), Some(true));
     drop(router);
     replica2.kill();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn loadgen_via_router_audits_read_your_writes() {
-    let dir = temp_dir("loadgen");
-    let graph = graph_file(&dir);
-    let mut primary = spawn_serve(
+    let dir = TempDir::new("router-loadgen");
+    let graph = dir.graph(300, 3, 7);
+    let mut primary = serve(
+        rwr(),
         &graph,
         &dir.join("p"),
         &["--replication-listen", "127.0.0.1:0"],
     );
     let repl = primary.repl_addr.clone().unwrap();
-    let mut replica = spawn_serve(&graph, &dir.join("r"), &["--replicate-from", &repl]);
+    let mut replica = serve(rwr(), &graph, &dir.join("r"), &["--replicate-from", &repl]);
     let router = spawn_router(
         &[primary.addr.clone(), replica.addr.clone()],
         &["--probe-interval-ms", "25"],
@@ -301,5 +206,4 @@ fn loadgen_via_router_audits_read_your_writes() {
     drop(router);
     replica.kill();
     primary.kill();
-    let _ = std::fs::remove_dir_all(&dir);
 }

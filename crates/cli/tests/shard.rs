@@ -13,121 +13,15 @@
 //!   dirs restores every namespace bit-identically.
 
 use resacc_service::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use resacc_testsuite::process::{request, serve, wait_for, Proc, TempDir};
+use std::process::Command;
 
 fn rwr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rwr"))
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-shard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(200, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
-
-/// A running `rwr` child (serve or router) with its startup lines scraped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn spawn_scraped(mut cmd: Command) -> Proc {
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("child prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra);
-    spawn_scraped(cmd)
-}
-
-/// One-shot request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("server speaks json")
-}
-
 fn ok(response: &Json) -> bool {
     response.get("ok").and_then(Json::as_bool) == Some(true)
-}
-
-/// Polls `probe` until it returns true or the deadline passes.
-fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if probe() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    panic!("timed out waiting for {what}");
 }
 
 /// The tenant's applied version as one server reports it.
@@ -154,29 +48,41 @@ fn ns_signature(addr: &str, ns: &str) -> (u64, String) {
 
 #[test]
 fn sharded_cluster_isolates_tenants_and_survives_kills() {
-    let dir = temp_dir("cluster");
-    let graph = graph_file(&dir);
+    let dir = TempDir::new("shard-cluster");
+    let graph = dir.graph(200, 3, 7);
 
     // Shard 1 (tenants t0, t1) and shard 2 (catch-all: t2 + default),
     // each a primary with one replica.
-    let mut primary1 = spawn_serve(
+    let mut primary1 = serve(
+        rwr(),
         &graph,
         &dir.join("p1"),
         &["--replication-listen", "127.0.0.1:0"],
     );
     let repl1 = primary1.repl_addr.clone().expect("p1 repl addr");
-    let mut replica1 = spawn_serve(&graph, &dir.join("r1"), &["--replicate-from", &repl1]);
-    let mut primary2 = spawn_serve(
+    let mut replica1 = serve(
+        rwr(),
+        &graph,
+        &dir.join("r1"),
+        &["--replicate-from", &repl1],
+    );
+    let mut primary2 = serve(
+        rwr(),
         &graph,
         &dir.join("p2"),
         &["--replication-listen", "127.0.0.1:0"],
     );
     let repl2 = primary2.repl_addr.clone().expect("p2 repl addr");
-    let mut replica2 = spawn_serve(&graph, &dir.join("r2"), &["--replicate-from", &repl2]);
+    let mut replica2 = serve(
+        rwr(),
+        &graph,
+        &dir.join("r2"),
+        &["--replicate-from", &repl2],
+    );
 
     let shard1 = format!("t0,t1={},{}", primary1.addr, replica1.addr);
     let shard2 = format!("*={},{}", primary2.addr, replica2.addr);
-    let router = spawn_scraped({
+    let router = Proc::spawn({
         let mut cmd = rwr();
         cmd.args(["router", "--shard", &shard1, "--shard", &shard2])
             .args(["--listen", "127.0.0.1:0"])
@@ -321,8 +227,8 @@ fn sharded_cluster_isolates_tenants_and_survives_kills() {
     primary2.kill();
     replica2.kill();
 
-    let restarted1 = spawn_serve(&graph, &dir.join("r1"), &[]);
-    let restarted2 = spawn_serve(&graph, &dir.join("p2"), &[]);
+    let restarted1 = serve(rwr(), &graph, &dir.join("r1"), &[]);
+    let restarted2 = serve(rwr(), &graph, &dir.join("p2"), &[]);
     let list = request(&restarted1.addr, r#"{"id":41,"op":"list_namespaces"}"#);
     assert_eq!(
         list.get("namespaces").expect("namespaces").render(),
@@ -340,16 +246,15 @@ fn sharded_cluster_isolates_tenants_and_survives_kills() {
 
     drop(restarted1);
     drop(restarted2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unmapped_namespace_is_a_typed_error_end_to_end() {
-    let dir = temp_dir("unmapped");
-    let graph = graph_file(&dir);
-    let backend = spawn_serve(&graph, &dir.join("p"), &[]);
+    let dir = TempDir::new("shard-unmapped");
+    let graph = dir.graph(200, 3, 7);
+    let backend = serve(rwr(), &graph, &dir.join("p"), &[]);
     let shard = format!("t0={}", backend.addr);
-    let router = spawn_scraped({
+    let router = Proc::spawn({
         let mut cmd = rwr();
         cmd.args(["router", "--shard", &shard, "--listen", "127.0.0.1:0"]);
         cmd
@@ -376,5 +281,4 @@ fn unmapped_namespace_is_a_typed_error_end_to_end() {
     assert!(ok(&shutdown));
     drop(router);
     drop(backend);
-    let _ = std::fs::remove_dir_all(&dir);
 }

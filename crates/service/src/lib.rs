@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod client;
 pub mod fault;
 pub mod json;
 pub mod loadgen;

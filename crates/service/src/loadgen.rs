@@ -17,15 +17,15 @@
 //! The request stream is fully determined by the config (ids, sources, and
 //! seeds derive from `seed` arithmetic), so a run is reproducible.
 
+use crate::client;
 use crate::json::Json;
 use crate::metrics::Histogram;
 use crate::scheduler::splitmix64;
 use resacc::durability::DEFAULT_NAMESPACE;
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Load-generator configuration.
 #[derive(Clone, Debug)]
@@ -295,41 +295,19 @@ fn rank_to_source(rank: u32, n: u64) -> u32 {
     ((rank as u64).wrapping_mul(2654435761) % n.max(1)) as u32
 }
 
-/// Opens a connection honoring `timeout_ms` for both the connect and
-/// subsequent reads (0 = block forever, the pre-timeout behavior).
-fn connect_with_timeout(addr: &str, timeout_ms: u64) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let stream = if timeout_ms == 0 {
-        TcpStream::connect(addr)?
-    } else {
-        let sock = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-        let s = TcpStream::connect_timeout(&sock, std::time::Duration::from_millis(timeout_ms))?;
-        s.set_read_timeout(Some(std::time::Duration::from_millis(timeout_ms)))?;
-        s
-    };
-    Ok(stream)
-}
-
 /// One `stats` exchange for tenant `ns`; returns the whole response.
-fn fetch_stats(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<Json> {
-    let mut stream = connect_with_timeout(addr, timeout_ms)?;
+fn fetch_stats(addr: &str, ns: &str, timeout: Option<Duration>) -> std::io::Result<Json> {
     let request = if ns == DEFAULT_NAMESPACE {
-        "{\"op\":\"stats\"}\n".to_string()
+        "{\"op\":\"stats\"}".to_string()
     } else {
-        format!("{{\"op\":\"stats\",\"namespace\":\"{ns}\"}}\n")
+        format!("{{\"op\":\"stats\",\"namespace\":\"{ns}\"}}")
     };
-    stream.write_all(request.as_bytes())?;
-    let mut line = String::new();
-    BufReader::new(&stream).read_line(&mut line)?;
-    Json::parse(line.trim()).map_err(std::io::Error::other)
+    client::request(addr, &request, timeout)
 }
 
 /// Asks the server how many nodes the tenant's graph has (`stats` op).
-fn fetch_nodes(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
-    fetch_stats(addr, ns, timeout_ms)?
+fn fetch_nodes(addr: &str, ns: &str, timeout: Option<Duration>) -> std::io::Result<u64> {
+    fetch_stats(addr, ns, timeout)?
         .get("nodes")
         .and_then(Json::as_u64)
         .ok_or_else(|| std::io::Error::other("bad stats response"))
@@ -343,18 +321,9 @@ const SEED_RING: u64 = 64;
 /// missing (an "already exists" answer is success) and seeds an empty
 /// graph with a deterministic [`SEED_RING`]-node ring. Returns the
 /// tenant's node count.
-fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
-    let mut stream = connect_with_timeout(addr, timeout_ms)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut exchange = |line: String| -> std::io::Result<Json> {
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        let mut resp = String::new();
-        if reader.read_line(&mut resp)? == 0 {
-            return Err(std::io::Error::other("connection closed during tenant setup"));
-        }
-        Json::parse(resp.trim()).map_err(std::io::Error::other)
-    };
+fn ensure_tenant(addr: &str, ns: &str, timeout: Option<Duration>) -> std::io::Result<u64> {
+    let mut conn = client::connect(addr, timeout)?;
+    let mut exchange = |line: String| client::exchange_json(&mut conn, &line, timeout);
     let created = exchange(format!("{{\"op\":\"create_namespace\",\"namespace\":\"{ns}\"}}"))?;
     if created.get("ok").and_then(Json::as_bool) != Some(true) {
         let rendered = created.render();
@@ -364,7 +333,7 @@ fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> 
             )));
         }
     }
-    let nodes = fetch_nodes(addr, ns, timeout_ms)?;
+    let nodes = fetch_nodes(addr, ns, timeout)?;
     if nodes >= 2 {
         return Ok(nodes);
     }
@@ -381,7 +350,7 @@ fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> 
             seeded.render()
         )));
     }
-    fetch_nodes(addr, ns, timeout_ms)
+    fetch_nodes(addr, ns, timeout)
 }
 
 /// Fetches (hit_rate, coalesced) from the server. Through a router the
@@ -389,8 +358,8 @@ fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> 
 /// `stats` sent to the router answers for one backend only — so in
 /// router mode this asks each backend the router lists and sums their
 /// own counters.
-fn fetch_cache_stats(addr: &str, timeout_ms: u64, via_router: bool) -> (f64, u64) {
-    let Ok(top) = fetch_stats(addr, DEFAULT_NAMESPACE, timeout_ms) else {
+fn fetch_cache_stats(addr: &str, timeout: Option<Duration>, via_router: bool) -> (f64, u64) {
+    let Ok(top) = fetch_stats(addr, DEFAULT_NAMESPACE, timeout) else {
         return (0.0, 0);
     };
     let servers: Vec<Json> = if via_router {
@@ -400,7 +369,7 @@ fn fetch_cache_stats(addr: &str, timeout_ms: u64, via_router: bool) -> (f64, u64
             .unwrap_or_default()
             .iter()
             .filter_map(|b| b.get("addr").and_then(Json::as_str))
-            .filter_map(|a| fetch_stats(a, DEFAULT_NAMESPACE, timeout_ms).ok())
+            .filter_map(|a| fetch_stats(a, DEFAULT_NAMESPACE, timeout).ok())
             .collect()
     } else {
         vec![top]
@@ -431,12 +400,13 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         (None, n) if n > 1 => (0..n).map(|i| format!("t{i}")).collect(),
         _ => vec![DEFAULT_NAMESPACE.to_string()],
     };
+    let timeout = client::timeout_from_ms(config.timeout_ms);
     let mut nodes_by_tenant = Vec::with_capacity(tenants.len());
     for ns in &tenants {
         let nodes = if ns == DEFAULT_NAMESPACE {
-            fetch_nodes(&config.addr, ns, config.timeout_ms)?
+            fetch_nodes(&config.addr, ns, timeout)?
         } else {
-            ensure_tenant(&config.addr, ns, config.timeout_ms)?
+            ensure_tenant(&config.addr, ns, timeout)?
         };
         nodes_by_tenant.push(nodes);
     }
@@ -514,10 +484,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                 // tenant's log (`--via-router`).
                 let mut min_version = vec![0u64; tenants.len()];
                 let mut run = || -> std::io::Result<()> {
-                    let stream = connect_with_timeout(&config.addr, config.timeout_ms)?;
-                    let mut reader = BufReader::new(stream.try_clone()?);
-                    let mut stream = stream;
-                    let mut line = String::new();
+                    let mut conn = client::connect(&config.addr, timeout)?;
                     for i in 0..per {
                         let id = id_base + i;
                         // The tenant draw only exists when the mix spans
@@ -545,12 +512,12 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                             let u = rng.next_u64() % n.max(1);
                             let v = rng.next_u64() % n.max(1);
                             format!(
-                                "{{\"id\":{id},\"op\":\"insert_edges\"{ns_field},\"edges\":[[{u},{v}]]}}\n"
+                                "{{\"id\":{id},\"op\":\"insert_edges\"{ns_field},\"edges\":[[{u},{v}]]}}"
                             )
                         } else if is_delete {
                             let node = rng.next_u64() % n.max(1);
                             format!(
-                                "{{\"id\":{id},\"op\":\"delete_node\"{ns_field},\"node\":{node}}}\n"
+                                "{{\"id\":{id},\"op\":\"delete_node\"{ns_field},\"node\":{node}}}"
                             )
                         } else {
                             let rank = zipf.sample(rng.next_f64());
@@ -579,46 +546,36 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                                 String::new()
                             };
                             format!(
-                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{threads}{minv}}}\n",
+                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{threads}{minv}}}",
                                 config.k
                             )
                         };
                         let sent = Instant::now();
-                        let exchanged = (|| -> std::io::Result<()> {
-                            stream.write_all(request.as_bytes())?;
-                            line.clear();
-                            if reader.read_line(&mut line)? == 0 {
-                                // A missing response is never acceptable,
-                                // chaos or not: surface it as a hard error.
-                                return Err(std::io::Error::other(
-                                    "connection closed mid-request",
-                                ));
+                        // A missing response is never acceptable, chaos
+                        // or not: a closed connection is a hard error.
+                        let line = match client::exchange_on(&mut conn, &request, timeout) {
+                            Ok(line) => line,
+                            Err(e) => {
+                                let timed_out = timeout.is_some()
+                                    && matches!(
+                                        e.kind(),
+                                        std::io::ErrorKind::TimedOut
+                                            | std::io::ErrorKind::WouldBlock
+                                    );
+                                if timed_out {
+                                    // One request lost to a hung peer, not the
+                                    // whole connection's remainder. Reopen: the
+                                    // late response could still arrive on the
+                                    // old socket and desynchronize pairing.
+                                    errors.fetch_add(1, Ordering::Relaxed);
+                                    net_timeouts.fetch_add(1, Ordering::Relaxed);
+                                    conn = client::connect(&config.addr, timeout)?;
+                                    continue;
+                                }
+                                return Err(e);
                             }
-                            Ok(())
-                        })();
-                        if let Err(e) = exchanged {
-                            let timed_out = config.timeout_ms > 0
-                                && matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::TimedOut
-                                        | std::io::ErrorKind::WouldBlock
-                                );
-                            if timed_out {
-                                // One request lost to a hung peer, not the
-                                // whole connection's remainder. Reopen: the
-                                // late response could still arrive on the
-                                // old socket and desynchronize pairing.
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                net_timeouts.fetch_add(1, Ordering::Relaxed);
-                                let s =
-                                    connect_with_timeout(&config.addr, config.timeout_ms)?;
-                                reader = BufReader::new(s.try_clone()?);
-                                stream = s;
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                        let response = Json::parse(line.trim()).ok();
+                        };
+                        let response = Json::parse(&line).ok();
                         let ok = response
                             .as_ref()
                             .and_then(|j| j.get("ok").and_then(Json::as_bool))
@@ -706,7 +663,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         Vec::new()
     };
     let (server_hit_rate, server_coalesced) =
-        fetch_cache_stats(&config.addr, config.timeout_ms, config.via_router);
+        fetch_cache_stats(&config.addr, timeout, config.via_router);
     let drain_ms = if config.shutdown_after {
         Some(shutdown_and_measure_drain(&config.addr)?)
     } else {
@@ -866,13 +823,12 @@ mod tests {
         // untouched (tenant isolation seen from the client side).
         assert_eq!(session.version(), 0);
         // All three tenants exist server-side afterwards.
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .write_all(b"{\"op\":\"list_namespaces\"}\n")
-            .unwrap();
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).unwrap();
-        let listed = Json::parse(line.trim()).unwrap();
+        let listed = client::request(
+            &handle.addr().to_string(),
+            r#"{"op":"list_namespaces"}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             listed.get("namespaces").unwrap().render(),
             r#"["default","t0","t1","t2"]"#

@@ -25,9 +25,9 @@
 //! *mutual exclusion* (one orchestration at a time, so two triggers can't
 //! promote two replicas).
 
+use crate::client::{connect, exchange_on};
 use crate::json::Json;
 use crate::router::pool::BackendPool;
-use crate::router::retry::{connect, exchange_on};
 use crate::router::RouterMetrics;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -94,9 +94,13 @@ fn run_pass(pool: &Arc<BackendPool>, metrics: &RouterMetrics) -> Option<String> 
 /// Sends `promote` to one backend and returns its post-drain version.
 fn promote(addr: &str) -> Result<u64, String> {
     let mut conn =
-        connect(addr, Duration::from_secs(2)).map_err(|e| format!("connect: {e}"))?;
-    let raw = exchange_on(&mut conn, "{\"op\":\"promote\",\"id\":0}", PROMOTE_TIMEOUT)
-        .map_err(|e| format!("exchange: {e}"))?;
+        connect(addr, Some(Duration::from_secs(2))).map_err(|e| format!("connect: {e}"))?;
+    let raw = exchange_on(
+        &mut conn,
+        "{\"op\":\"promote\",\"id\":0}",
+        Some(PROMOTE_TIMEOUT),
+    )
+    .map_err(|e| format!("exchange: {e}"))?;
     let parsed = Json::parse(&raw).map_err(|e| format!("parse: {e}"))?;
     if parsed.get("ok").and_then(Json::as_bool) == Some(true) {
         Ok(parsed

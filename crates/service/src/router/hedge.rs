@@ -9,8 +9,8 @@
 //! and the loser's connection is dropped rather than pooled, which closes
 //! the socket and cancels any answer still in flight.
 
+use crate::client::{connect, exchange_on, exchange_split, Conn, ExchangeError};
 use crate::router::pool::Backend;
-use crate::router::retry::{exchange_on, ExchangeError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -184,10 +184,10 @@ fn attempt(
     line: &str,
     timeout: Duration,
     cfg: &crate::router::RouterConfig,
-) -> std::io::Result<(String, crate::router::retry::Conn)> {
+) -> std::io::Result<(String, Conn)> {
     let connect_timeout = Duration::from_millis(cfg.probe_timeout_ms);
     if let Some(mut conn) = backend.checkout() {
-        match crate::router::retry::exchange_split(&mut conn, line, timeout) {
+        match exchange_split(&mut conn, line, Some(timeout)) {
             Ok(raw) => return Ok((raw, conn)),
             // A pooled conn that dies on the *write* was simply stale
             // (closed by the backend's idle timeout): fall through to a
@@ -199,9 +199,9 @@ fn attempt(
             }
         }
     }
-    let mut conn = crate::router::retry::connect(&backend.addr, connect_timeout)
-        .inspect_err(|_| backend.note_failure(cfg))?;
-    match exchange_on(&mut conn, line, timeout) {
+    let mut conn =
+        connect(&backend.addr, Some(connect_timeout)).inspect_err(|_| backend.note_failure(cfg))?;
+    match exchange_on(&mut conn, line, Some(timeout)) {
         Ok(raw) => {
             backend.note_success();
             Ok((raw, conn))

@@ -46,6 +46,7 @@ pub(crate) mod retry;
 
 pub use pool::{Backend, BackendPool, BreakerState, NsProbe, ProbeInfo};
 
+use crate::client::{connect, exchange_split, ExchangeError};
 use crate::json::Json;
 use crate::server::{
     accept_seed, error_fields, ok_response, request_shutdown, take_buffered_line, ACCEPT_BACKOFF,
@@ -53,7 +54,7 @@ use crate::server::{
 };
 use hedge::LatencyWindow;
 use resacc::durability::{valid_namespace, DEFAULT_NAMESPACE};
-use retry::{connect, exchange_split, ExchangeError, RouterError, RETRY_BACKOFF};
+use retry::{RouterError, RETRY_BACKOFF};
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -779,7 +780,7 @@ fn route_mutation(line: &str, id: Option<u64>, ns: &str, shard: &Arc<Shard>, inn
         attempts += 1;
         // Always a fresh connection: "write failed ⇒ never executed"
         // only holds when the socket was alive at checkout (retry.rs).
-        let mut conn = match connect(&primary.addr, connect_timeout) {
+        let mut conn = match connect(&primary.addr, Some(connect_timeout)) {
             Ok(c) => c,
             Err(e) => {
                 primary.note_failure(cfg);
@@ -787,7 +788,7 @@ fn route_mutation(line: &str, id: Option<u64>, ns: &str, shard: &Arc<Shard>, inn
                 continue; // pre-ack: safe to retry
             }
         };
-        match exchange_split(&mut conn, line, read_timeout) {
+        match exchange_split(&mut conn, line, Some(read_timeout)) {
             Err(ExchangeError::PreWrite(e)) => {
                 primary.note_failure(cfg);
                 last_detail = format!("write {}: {e}", primary.addr);
@@ -1079,22 +1080,13 @@ fn route_promote(id: Option<u64>, shard: &Arc<Shard>, inner: &Inner) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::client::{connect, exchange_json, request};
     use crate::server::{spawn as spawn_server, ServerConfig, ServerHandle};
     use resacc::replication::{
         attach_hub, ReplicaClient, ReplicationHub, ReplicationServer, ReplicationStats,
     };
     use resacc::RwrSession;
     use resacc_graph::gen;
-    use std::io::{BufRead, BufReader};
-
-    fn roundtrip(stream: &mut TcpStream, line: &str) -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("response is json")
-    }
 
     fn graph() -> resacc_graph::CsrGraph {
         gen::barabasi_albert(200, 3, 8)
@@ -1173,12 +1165,7 @@ pub(crate) mod tests {
             loop {
                 let mut all = true;
                 for r in &self.replicas {
-                    let mut s = TcpStream::connect(r.addr()).unwrap();
-                    let mut reader = BufReader::new(s.try_clone().unwrap());
-                    s.write_all(b"{\"op\":\"stats\"}\n").unwrap();
-                    let mut line = String::new();
-                    reader.read_line(&mut line).unwrap();
-                    let v = Json::parse(line.trim())
+                    let v = request(&r.addr().to_string(), r#"{"op":"stats"}"#, None)
                         .ok()
                         .and_then(|j| {
                             j.get("replication")?.get("applied_version")?.as_u64()
@@ -1240,22 +1227,42 @@ pub(crate) mod tests {
             ShardSpec::parse(&format!("*={}", b.addr())).unwrap(),
         ];
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
 
         // Lifecycle ops shard-route by their namespace operand.
-        let c0 = roundtrip(&mut via, r#"{"id":1,"op":"create_namespace","namespace":"t0"}"#);
-        assert_eq!(c0.get("ok").unwrap().as_bool(), Some(true), "{}", c0.render());
-        let c1 = roundtrip(&mut via, r#"{"id":2,"op":"create_namespace","namespace":"t1"}"#);
-        assert_eq!(c1.get("ok").unwrap().as_bool(), Some(true), "{}", c1.render());
-        let mut direct_a = TcpStream::connect(a.addr()).unwrap();
-        let mut direct_b = TcpStream::connect(b.addr()).unwrap();
-        let la = roundtrip(&mut direct_a, r#"{"id":3,"op":"list_namespaces"}"#);
+        let c0 = exchange_json(
+            &mut via,
+            r#"{"id":1,"op":"create_namespace","namespace":"t0"}"#,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            c0.get("ok").unwrap().as_bool(),
+            Some(true),
+            "{}",
+            c0.render()
+        );
+        let c1 = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"create_namespace","namespace":"t1"}"#,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            c1.get("ok").unwrap().as_bool(),
+            Some(true),
+            "{}",
+            c1.render()
+        );
+        let mut direct_a = connect(&a.addr().to_string(), None).unwrap();
+        let mut direct_b = connect(&b.addr().to_string(), None).unwrap();
+        let la = exchange_json(&mut direct_a, r#"{"id":3,"op":"list_namespaces"}"#, None).unwrap();
         assert_eq!(
             la.get("namespaces").unwrap().render(),
             r#"["default","t0"]"#,
             "t0 landed on shard A only"
         );
-        let lb = roundtrip(&mut direct_b, r#"{"id":4,"op":"list_namespaces"}"#);
+        let lb = exchange_json(&mut direct_b, r#"{"id":4,"op":"list_namespaces"}"#, None).unwrap();
         assert_eq!(
             lb.get("namespaces").unwrap().render(),
             r#"["default","t1"]"#,
@@ -1264,24 +1271,33 @@ pub(crate) mod tests {
 
         // Mutations and reads flow to the owning shard; the tenant's own
         // log versions, not a neighbor's.
-        let m = roundtrip(
+        let m = exchange_json(
             &mut via,
             r#"{"id":5,"op":"insert_edges","namespace":"t0","edges":[[0,7],[7,0]]}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true), "{}", m.render());
         assert_eq!(m.get("version").unwrap().as_u64(), Some(1));
-        let q = roundtrip(
+        let q = exchange_json(
             &mut via,
             r#"{"id":6,"op":"query","namespace":"t0","source":0,"seed":9,"min_version":1}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(q.get("ok").unwrap().as_bool(), Some(true), "{}", q.render());
         // The default tenant (catch-all shard) is untouched by t0 writes.
-        let qd = roundtrip(&mut via, r#"{"id":7,"op":"query","source":0,"seed":9}"#);
+        let qd = exchange_json(
+            &mut via,
+            r#"{"id":7,"op":"query","source":0,"seed":9}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(qd.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(qd.get("version").unwrap().as_u64(), Some(0));
 
         // The merged tenant list spans both shards.
-        let all = roundtrip(&mut via, r#"{"id":8,"op":"list_namespaces"}"#);
+        let all = exchange_json(&mut via, r#"{"id":8,"op":"list_namespaces"}"#, None).unwrap();
         assert_eq!(
             all.get("namespaces").unwrap().render(),
             r#"["default","t0","t1"]"#
@@ -1289,7 +1305,7 @@ pub(crate) mod tests {
 
         // Aggregate stats: per-shard trees nest under shards.{name}, the
         // router section tags backends with their shard.
-        let s = roundtrip(&mut via, r#"{"id":9,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":9,"op":"stats"}"#, None).unwrap();
         assert_eq!(s.get("ok").unwrap().as_bool(), Some(true));
         let shards = s.get("shards").expect("multi-shard stats nest per shard");
         assert!(shards.get("t0").unwrap().get("nodes").is_some());
@@ -1297,7 +1313,8 @@ pub(crate) mod tests {
         let rt = s.get("router").unwrap();
         assert_eq!(rt.get("shard_count").unwrap().as_u64(), Some(2));
         // A tenant-scoped stats stays flat (the old shape).
-        let st = roundtrip(&mut via, r#"{"id":10,"op":"stats","namespace":"t0"}"#);
+        let st =
+            exchange_json(&mut via, r#"{"id":10,"op":"stats","namespace":"t0"}"#, None).unwrap();
         assert!(st.get("nodes").is_some(), "{}", st.render());
         assert!(st.get("shards").is_none());
 
@@ -1321,18 +1338,25 @@ pub(crate) mod tests {
         let mut cfg = RouterConfig::new(vec![]);
         cfg.shards = vec![ShardSpec::parse(&format!("t0={}", a.addr())).unwrap()];
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
-        let r = roundtrip(
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
+        let r = exchange_json(
             &mut via,
             r#"{"id":1,"op":"query","namespace":"t9","source":0,"seed":1}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("error").unwrap().as_str(), Some("unknown_namespace"));
         // The default tenant is unmapped too in this topology.
-        let d = roundtrip(&mut via, r#"{"id":2,"op":"query","source":0,"seed":1}"#);
+        let d = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"query","source":0,"seed":1}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(d.get("error").unwrap().as_str(), Some("unknown_namespace"));
         // Namespace-less stats still answers (single shard: flat shape).
-        let s = roundtrip(&mut via, r#"{"id":3,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":3,"op":"stats"}"#, None).unwrap();
         assert_eq!(s.get("ok").unwrap().as_bool(), Some(true), "{}", s.render());
         assert!(s.get("router").is_some());
         router.shutdown().unwrap();
@@ -1357,34 +1381,41 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        let mut direct = TcpStream::connect(backend.addr()).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut direct = connect(&backend.addr().to_string(), None).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
         let q = r#"{"id":1,"op":"query","source":0,"seed":42,"full":true}"#;
-        let d = roundtrip(&mut direct, q);
-        let r = roundtrip(&mut via, q);
+        let d = exchange_json(&mut direct, q, None).unwrap();
+        let r = exchange_json(&mut via, q, None).unwrap();
         assert_eq!(
             d.get("scores").unwrap().render(),
             r.get("scores").unwrap().render(),
             "routed reads are bit-identical to direct reads"
         );
         // Mutations route to the (standalone) primary and version bumps.
-        let m = roundtrip(&mut via, r#"{"id":2,"op":"insert_edges","edges":[[0,7],[7,0]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"insert_edges","edges":[[0,7],[7,0]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(m.get("version").unwrap().as_u64(), Some(1));
         // Read-your-writes through min_version against the primary.
-        let q2 = roundtrip(
+        let q2 = exchange_json(
             &mut via,
             r#"{"id":3,"op":"query","source":0,"seed":42,"min_version":1}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(q2.get("ok").unwrap().as_bool(), Some(true));
         assert!(q2.get("version").unwrap().as_u64().unwrap() >= 1);
         // Local ops answer locally; unknown ops mirror the server shape.
-        let p = roundtrip(&mut via, r#"{"id":4,"op":"ping"}"#);
+        let p = exchange_json(&mut via, r#"{"id":4,"op":"ping"}"#, None).unwrap();
         assert_eq!(p.get("ok").unwrap().as_bool(), Some(true));
-        let u = roundtrip(&mut via, r#"{"id":5,"op":"flarp"}"#);
+        let u = exchange_json(&mut via, r#"{"id":5,"op":"flarp"}"#, None).unwrap();
         assert!(u.get("error").unwrap().as_str().unwrap().contains("unknown op"));
         // Stats are forwarded with the router section injected.
-        let s = roundtrip(&mut via, r#"{"id":6,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":6,"op":"stats"}"#, None).unwrap();
         assert!(s.get("nodes").is_some(), "backend stats preserved");
         let rt = s.get("router").expect("router section injected");
         assert!(rt.get("reads").unwrap().as_u64().unwrap() >= 2);
@@ -1423,16 +1454,16 @@ pub(crate) mod tests {
         cfg.probe_interval_ms = 20;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
 
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
         for i in 0..5 {
             let q = format!("{{\"id\":{i},\"op\":\"query\",\"source\":{i},\"seed\":1}}");
-            let r = roundtrip(&mut via, &q);
+            let r = exchange_json(&mut via, &q, None).unwrap();
             assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "warm read {i}");
         }
         a.shutdown().unwrap();
         for i in 10..30 {
             let q = format!("{{\"id\":{i},\"op\":\"query\",\"source\":{},\"seed\":1}}", i % 50);
-            let r = roundtrip(&mut via, &q);
+            let r = exchange_json(&mut via, &q, None).unwrap();
             assert_eq!(
                 r.get("ok").unwrap().as_bool(),
                 Some(true),
@@ -1459,21 +1490,28 @@ pub(crate) mod tests {
         cfg.retry_budget = 2;
         cfg.park_ms = 300;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
         // min_version far ahead of the world: the primary answers, the
         // router verifies version < min_version, retries, and reports a
         // typed terminal error instead of silently violating the bound.
-        let r = roundtrip(
+        let r = exchange_json(
             &mut via,
             r#"{"id":1,"op":"query","source":0,"seed":1,"min_version":999}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         let code = r.get("error").unwrap().as_str().unwrap();
         assert!(
             code == "unavailable" || code == "timeout",
             "typed terminal error, got {code:?}"
         );
-        let ok = roundtrip(&mut via, r#"{"id":2,"op":"query","source":0,"seed":1}"#);
+        let ok = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"query","source":0,"seed":1}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         router.shutdown().unwrap();
         backend.shutdown().unwrap();
@@ -1487,21 +1525,25 @@ pub(crate) mod tests {
         cfg.retry_budget = 8;
         cfg.park_ms = 20_000;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
 
         // Semi-sync acked write: once acked, the replica has applied it.
-        let m = roundtrip(&mut via, r#"{"id":1,"op":"insert_edges","edges":[[0,9],[9,0]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":1,"op":"insert_edges","edges":[[0,9],[9,0]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true), "{}", m.render());
         let acked_version = m.get("version").unwrap().as_u64().unwrap();
         cluster.wait_replicas_at(acked_version);
 
         // min_version read-your-writes immediately after the ack.
-        let q = roundtrip(
+        let q = exchange_json(
             &mut via,
             &format!(
                 "{{\"id\":2,\"op\":\"query\",\"source\":0,\"seed\":3,\"min_version\":{acked_version}}}"
-            ),
-        );
+            ), None).unwrap();
         assert_eq!(q.get("ok").unwrap().as_bool(), Some(true), "{}", q.render());
         assert!(q.get("version").unwrap().as_u64().unwrap() >= acked_version);
 
@@ -1510,7 +1552,12 @@ pub(crate) mod tests {
         // mutation lands there — elevated latency, no error, no version
         // regression below the acked write.
         cluster.primary.take().unwrap().shutdown().unwrap();
-        let m2 = roundtrip(&mut via, r#"{"id":3,"op":"insert_edges","edges":[[1,8],[8,1]]}"#);
+        let m2 = exchange_json(
+            &mut via,
+            r#"{"id":3,"op":"insert_edges","edges":[[1,8],[8,1]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             m2.get("ok").unwrap().as_bool(),
             Some(true),
@@ -1520,12 +1567,19 @@ pub(crate) mod tests {
         let v2 = m2.get("version").unwrap().as_u64().unwrap();
         assert!(v2 > acked_version, "acked write survived the failover");
         // Reads flow from the promoted node, min_version intact.
-        let q2 = roundtrip(
+        let q2 = exchange_json(
             &mut via,
             &format!("{{\"id\":4,\"op\":\"query\",\"source\":1,\"seed\":3,\"min_version\":{v2}}}"),
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            q2.get("ok").unwrap().as_bool(),
+            Some(true),
+            "{}",
+            q2.render()
         );
-        assert_eq!(q2.get("ok").unwrap().as_bool(), Some(true), "{}", q2.render());
-        let s = roundtrip(&mut via, r#"{"id":5,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":5,"op":"stats"}"#, None).unwrap();
         let rt = s.get("router").unwrap();
         assert!(rt.get("failovers").unwrap().as_u64().unwrap() >= 1);
 
@@ -1547,13 +1601,23 @@ pub(crate) mod tests {
         cfg.auto_failover = false;
         cfg.park_ms = 300;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
-        let r = roundtrip(&mut via, r#"{"id":1,"op":"query","source":0,"seed":5}"#);
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
+        let r = exchange_json(
+            &mut via,
+            r#"{"id":1,"op":"query","source":0,"seed":5}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{}", r.render());
         assert_eq!(r.get("stale").unwrap().as_bool(), Some(true));
         assert!(r.get("applied_version").unwrap().as_u64().is_some());
         // Mutations cannot be served: typed timeout after parking.
-        let m = roundtrip(&mut via, r#"{"id":2,"op":"insert_edges","edges":[[0,3]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"insert_edges","edges":[[0,3]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(m.get("error").unwrap().as_str(), Some("timeout"));
         router.shutdown().unwrap();
@@ -1582,16 +1646,16 @@ pub(crate) mod tests {
         cfg.hedge_quantile = 0.2;
         cfg.hedge_min_ms = 5;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
         for i in 0..60u32 {
             let q = format!(
                 "{{\"id\":{i},\"op\":\"query\",\"source\":{},\"seed\":{i}}}",
                 i % 40
             );
-            let r = roundtrip(&mut via, &q);
+            let r = exchange_json(&mut via, &q, None).unwrap();
             assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{}", r.render());
         }
-        let s = roundtrip(&mut via, r#"{"id":99,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":99,"op":"stats"}"#, None).unwrap();
         let rt = s.get("router").unwrap();
         assert!(
             rt.get("hedges").unwrap().as_u64().unwrap() > 0,
@@ -1675,10 +1739,15 @@ pub(crate) mod tests {
         // Without the sticky degrade this would be the per-write stall.
         cfg.park_ms = 20_000;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(&router.addr().to_string(), None).unwrap();
 
         // Healthy semi-sync: the ack implies the replica applied it.
-        let m = roundtrip(&mut via, r#"{"id":1,"op":"insert_edges","edges":[[0,7]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":1,"op":"insert_edges","edges":[[0,7]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(session.version(), 1, "semi-sync ack after replica applied");
 
@@ -1687,16 +1756,26 @@ pub(crate) mod tests {
         // acks relay async immediately.
         fault.partition();
         let t = Instant::now();
-        let m = roundtrip(&mut via, r#"{"id":2,"op":"insert_edges","edges":[[1,8]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":2,"op":"insert_edges","edges":[[1,8]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         let stall = t.elapsed();
         assert!(
             stall < Duration::from_secs(10),
             "degrade must be bounded by sync_ack_timeout, not park_ms: {stall:?}"
         );
-        let m = roundtrip(&mut via, r#"{"id":3,"op":"insert_edges","edges":[[2,9]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":3,"op":"insert_edges","edges":[[2,9]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
-        let s = roundtrip(&mut via, r#"{"id":4,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":4,"op":"stats"}"#, None).unwrap();
         let rt = s.get("router").unwrap();
         assert_eq!(
             rt.get("sync_degraded").unwrap().as_bool(),
@@ -1720,10 +1799,15 @@ pub(crate) mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         std::thread::sleep(Duration::from_millis(100)); // a few probe cycles
-        let m = roundtrip(&mut via, r#"{"id":5,"op":"insert_edges","edges":[[3,9]]}"#);
+        let m = exchange_json(
+            &mut via,
+            r#"{"id":5,"op":"insert_edges","edges":[[3,9]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(session.version(), 4, "re-armed ack waits for the replica again");
-        let s = roundtrip(&mut via, r#"{"id":6,"op":"stats"}"#);
+        let s = exchange_json(&mut via, r#"{"id":6,"op":"stats"}"#, None).unwrap();
         assert_eq!(
             s.get("router").unwrap().get("sync_degraded").unwrap().as_bool(),
             Some(false),

@@ -8,8 +8,8 @@
 //! `applied_version` decides who may serve a `min_version` read, and
 //! `lag_records` orders replicas for load-balancing.
 
+use crate::client::{connect, exchange_on, Conn};
 use crate::json::Json;
-use crate::router::retry::{connect, exchange_on, Conn};
 use crate::router::{RouterConfig, RouterMetrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -258,7 +258,7 @@ impl BackendPool {
                 return false;
             }
         }
-        let timeout = Duration::from_millis(self.cfg.probe_timeout_ms);
+        let timeout = Some(Duration::from_millis(self.cfg.probe_timeout_ms));
         let outcome = connect(&backend.addr, timeout)
             .and_then(|mut conn| exchange_on(&mut conn, "{\"op\":\"stats\",\"id\":0}", timeout));
         match outcome.ok().and_then(|raw| Json::parse(&raw).ok()) {

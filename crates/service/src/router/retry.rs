@@ -1,4 +1,5 @@
-//! Connection plumbing and the retry policy's typed terminal errors.
+//! The retry policy's typed terminal errors and pacing. The connection
+//! plumbing it relies on lives in [`crate::client`].
 //!
 //! ## Retry safety
 //!
@@ -19,83 +20,7 @@
 //!   socket), so the router stops with the typed [`RouterError::InDoubt`]
 //!   rather than risking a double apply.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// One NDJSON connection to a backend: buffered reader + raw writer over
-/// the same stream.
-pub(crate) struct Conn {
-    reader: BufReader<TcpStream>,
-    stream: TcpStream,
-}
-
-/// Opens a connection with a connect timeout.
-pub(crate) fn connect(addr: &str, timeout: Duration) -> std::io::Result<Conn> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-    let stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_nodelay(true).ok();
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(Conn { reader, stream })
-}
-
-/// Result of [`exchange_split`]: distinguishes "request never executed"
-/// from "response lost after a complete request" — the line the mutation
-/// retry policy is built on.
-pub(crate) enum ExchangeError {
-    /// The request line was not fully delivered; safe to retry anywhere.
-    PreWrite(std::io::Error),
-    /// The request line was delivered but the response never arrived;
-    /// retrying a mutation here could double-apply.
-    PostWrite(std::io::Error),
-}
-
-/// One request/response round-trip with a read deadline, reporting which
-/// side of the write any failure fell on.
-pub(crate) fn exchange_split(
-    conn: &mut Conn,
-    line: &str,
-    timeout: Duration,
-) -> Result<String, ExchangeError> {
-    let mut payload = Vec::with_capacity(line.len() + 1);
-    payload.extend_from_slice(line.as_bytes());
-    payload.push(b'\n');
-    conn.stream
-        .write_all(&payload)
-        .and_then(|()| conn.stream.flush())
-        .map_err(ExchangeError::PreWrite)?;
-    conn.stream
-        .set_read_timeout(Some(timeout))
-        .map_err(ExchangeError::PostWrite)?;
-    let mut response = String::new();
-    match conn.reader.read_line(&mut response) {
-        Ok(0) => Err(ExchangeError::PostWrite(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "backend closed before responding",
-        ))),
-        Ok(_) => {
-            while response.ends_with('\n') || response.ends_with('\r') {
-                response.pop();
-            }
-            Ok(response)
-        }
-        Err(e) => Err(ExchangeError::PostWrite(e)),
-    }
-}
-
-/// Round-trip for idempotent callers that don't care which side failed.
-pub(crate) fn exchange_on(
-    conn: &mut Conn,
-    line: &str,
-    timeout: Duration,
-) -> std::io::Result<String> {
-    exchange_split(conn, line, timeout).map_err(|e| match e {
-        ExchangeError::PreWrite(e) | ExchangeError::PostWrite(e) => e,
-    })
-}
 
 /// Typed terminal errors the router reports to clients once a request's
 /// retry budget or park deadline is spent. Rendered via the same
@@ -140,49 +65,6 @@ pub(crate) const RETRY_BACKOFF: resacc::backoff::BackoffPolicy = resacc::backoff
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::net::TcpListener;
-
-    #[test]
-    fn exchange_classifies_post_write_eof_as_ambiguous() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            // Read the full request line, then hang up without answering.
-            let mut buf = [0u8; 256];
-            let mut seen = Vec::new();
-            while !seen.contains(&b'\n') {
-                let n = s.read(&mut buf).unwrap();
-                if n == 0 {
-                    break;
-                }
-                seen.extend_from_slice(&buf[..n]);
-            }
-            drop(s);
-        });
-        let mut conn = connect(&addr, Duration::from_secs(1)).unwrap();
-        match exchange_split(&mut conn, "{\"op\":\"ping\"}", Duration::from_secs(1)) {
-            Err(ExchangeError::PostWrite(_)) => {}
-            Err(ExchangeError::PreWrite(e)) => panic!("misclassified as pre-write: {e}"),
-            Ok(r) => panic!("unexpected response: {r}"),
-        }
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn connect_fails_fast_against_dead_port() {
-        // Bind-then-drop guarantees the port is closed; connect must fail
-        // promptly instead of hanging.
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let start = std::time::Instant::now();
-        let r = connect(&addr, Duration::from_millis(500));
-        assert!(r.is_err());
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
 
     #[test]
     fn router_error_codes_are_stable() {

@@ -48,6 +48,7 @@
 //! [`crate::reactor`]; this module owns the routing and rendering it
 //! calls.
 
+use crate::client;
 use crate::fault::FaultPlan;
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
@@ -57,8 +58,7 @@ use crate::tenants::{Tenant, Tenants};
 use resacc::durability::{MutationOp, RecoveryStats, DEFAULT_NAMESPACE};
 use resacc::topk::top_k;
 use resacc::RwrSession;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -266,12 +266,14 @@ impl ServerHandle {
 pub(crate) fn request_shutdown(addr: &str) -> std::io::Result<()> {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.write_all(b"{\"op\":\"shutdown\"}\n")?;
-        let mut line = String::new();
-        let _ = BufReader::new(&stream).read_line(&mut line);
-        drop(stream);
-        let accepted = Json::parse(line.trim())
+        let mut conn = client::connect(addr, None)?;
+        let line = match client::exchange_split(&mut conn, "{\"op\":\"shutdown\"}", None) {
+            Ok(line) => line,
+            Err(client::ExchangeError::PreWrite(e)) => return Err(e),
+            Err(client::ExchangeError::PostWrite(_)) => String::new(),
+        };
+        drop(conn);
+        let accepted = Json::parse(&line)
             .ok()
             .and_then(|j| j.get("ok").and_then(Json::as_bool))
             .unwrap_or(false);
@@ -1004,8 +1006,10 @@ fn parse_edges(request: &Json) -> Result<Vec<(u32, u32)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{connect, exchange_json};
     use resacc_graph::gen;
-    use std::io::Read;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
 
     fn start() -> ServerHandle {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
@@ -1020,25 +1024,18 @@ mod tests {
         .expect("bind")
     }
 
-    fn roundtrip(stream: &mut TcpStream, line: &str) -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("response is json")
-    }
-
     #[test]
     fn query_over_tcp_matches_direct_session() {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
         let direct = session.query(7, 12345).scores;
         let handle = spawn("127.0.0.1:0", session, ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let r = roundtrip(
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
+        let r = exchange_json(
             &mut stream,
             r#"{"id":1,"op":"query","source":7,"seed":12345,"full":true,"k":3}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(r.get("seed").unwrap().as_u64(), Some(12345));
         let scores: Vec<f64> = r
@@ -1071,26 +1068,32 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let cold = roundtrip(
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
+        let cold = exchange_json(
             &mut stream,
             r#"{"id":1,"op":"query","source":7,"seed":12345}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(cold.get("cached").unwrap().as_bool(), Some(false));
-        let m = roundtrip(
+        let m = exchange_json(
             &mut stream,
             r#"{"id":2,"op":"insert_edges","edges":[[7,250],[100,7]]}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         // Same lineage after the mutation: served by offset upgrade, not a
         // cold recompute.
-        let warm = roundtrip(
+        let warm = exchange_json(
             &mut stream,
             r#"{"id":3,"op":"query","source":7,"seed":12345}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(warm.get("cached").unwrap().as_bool(), Some(true));
         assert_eq!(warm.get("version").unwrap().as_u64(), Some(1));
-        let stats = roundtrip(&mut stream, r#"{"id":4,"op":"stats"}"#);
+        let stats = exchange_json(&mut stream, r#"{"id":4,"op":"stats"}"#, None).unwrap();
         let inner = stats.get("stats").unwrap();
         assert_eq!(inner.get("cache_upgrades").unwrap().as_u64(), Some(1));
         assert_eq!(
@@ -1107,16 +1110,21 @@ mod tests {
     #[test]
     fn mutations_and_stats_over_tcp() {
         let handle = start();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
         let q = r#"{"id":1,"op":"query","source":0,"seed":9}"#;
-        let a = roundtrip(&mut stream, q);
+        let a = exchange_json(&mut stream, q, None).unwrap();
         assert_eq!(a.get("cached").unwrap().as_bool(), Some(false));
-        let b = roundtrip(&mut stream, &q.replace("\"id\":1", "\"id\":2"));
+        let b = exchange_json(&mut stream, &q.replace("\"id\":1", "\"id\":2"), None).unwrap();
         assert_eq!(b.get("cached").unwrap().as_bool(), Some(true));
 
-        let m = roundtrip(&mut stream, r#"{"id":3,"op":"insert_edges","edges":[[0,299]]}"#);
+        let m = exchange_json(
+            &mut stream,
+            r#"{"id":3,"op":"insert_edges","edges":[[0,299]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("version").unwrap().as_u64(), Some(1));
-        let c = roundtrip(&mut stream, &q.replace("\"id\":1", "\"id\":4"));
+        let c = exchange_json(&mut stream, &q.replace("\"id\":1", "\"id\":4"), None).unwrap();
         assert_eq!(
             c.get("cached").unwrap().as_bool(),
             Some(false),
@@ -1124,7 +1132,7 @@ mod tests {
         );
         assert_eq!(c.get("version").unwrap().as_u64(), Some(1));
 
-        let s = roundtrip(&mut stream, r#"{"op":"stats"}"#);
+        let s = exchange_json(&mut stream, r#"{"op":"stats"}"#, None).unwrap();
         let stats = s.get("stats").unwrap();
         assert_eq!(stats.get("queries").unwrap().as_u64(), Some(3));
         assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(1));
@@ -1136,13 +1144,18 @@ mod tests {
     #[test]
     fn bad_requests_keep_the_connection_alive() {
         let handle = start();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let e1 = roundtrip(&mut stream, "not json at all");
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
+        let e1 = exchange_json(&mut stream, "not json at all", None).unwrap();
         assert_eq!(e1.get("ok").unwrap().as_bool(), Some(false));
-        let e2 = roundtrip(&mut stream, r#"{"id":5,"op":"query"}"#);
+        let e2 = exchange_json(&mut stream, r#"{"id":5,"op":"query"}"#, None).unwrap();
         assert_eq!(e2.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(e2.get("id").unwrap().as_u64(), Some(5));
-        let e3 = roundtrip(&mut stream, r#"{"id":6,"op":"query","source":999999}"#);
+        let e3 = exchange_json(
+            &mut stream,
+            r#"{"id":6,"op":"query","source":999999}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             e3.get("error").unwrap().as_str(),
             Some("source out of range")
@@ -1153,10 +1166,10 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("out of range"));
-        let e4 = roundtrip(&mut stream, r#"{"id":7,"op":"frobnicate"}"#);
+        let e4 = exchange_json(&mut stream, r#"{"id":7,"op":"frobnicate"}"#, None).unwrap();
         assert!(e4.get("error").unwrap().as_str().unwrap().contains("unknown op"));
         // Still serving after four errors:
-        let ok = roundtrip(&mut stream, r#"{"id":8,"op":"ping"}"#);
+        let ok = exchange_json(&mut stream, r#"{"id":8,"op":"ping"}"#, None).unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         drop(stream);
         handle.shutdown().unwrap();
@@ -1177,12 +1190,14 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
         let started = Instant::now();
-        let r = roundtrip(
+        let r = exchange_json(
             &mut stream,
             r#"{"id":1,"op":"query","source":0,"deadline_ms":1}"#,
-        );
+            None,
+        )
+        .unwrap();
         let elapsed = started.elapsed();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("error").unwrap().as_str(), Some("deadline_exceeded"));
@@ -1194,12 +1209,14 @@ mod tests {
             "deadline abort took {elapsed:?}"
         );
         // The sole worker is immediately reusable.
-        let ok = roundtrip(
+        let ok = exchange_json(
             &mut stream,
             r#"{"id":2,"op":"query","source":0,"seed":5,"deadline_ms":60000}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
-        let s = roundtrip(&mut stream, r#"{"op":"stats"}"#);
+        let s = exchange_json(&mut stream, r#"{"op":"stats"}"#, None).unwrap();
         assert_eq!(
             s.get("stats").unwrap().get("timeouts").unwrap().as_u64(),
             Some(1)
@@ -1236,8 +1253,8 @@ mod tests {
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
         // Server still accepts fresh connections.
-        let mut stream2 = TcpStream::connect(handle.addr()).unwrap();
-        let ok = roundtrip(&mut stream2, r#"{"op":"ping"}"#);
+        let mut stream2 = connect(&handle.addr().to_string(), None).unwrap();
+        let ok = exchange_json(&mut stream2, r#"{"op":"ping"}"#, None).unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         drop(stream2);
         handle.shutdown().unwrap();
@@ -1256,9 +1273,9 @@ mod tests {
             },
         )
         .unwrap();
-        let mut keeper = TcpStream::connect(handle.addr()).unwrap();
+        let mut keeper = connect(&handle.addr().to_string(), None).unwrap();
         // Make sure the first connection is registered before the second.
-        let ok = roundtrip(&mut keeper, r#"{"op":"ping"}"#);
+        let ok = exchange_json(&mut keeper, r#"{"op":"ping"}"#, None).unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         let over = TcpStream::connect(handle.addr()).unwrap();
         let mut reader = BufReader::new(over);
@@ -1330,15 +1347,23 @@ mod tests {
         let params = resacc::RwrParams::for_graph(rec.graph.num_nodes());
         let session = Arc::new(RwrSession::from_recovered(rec, params, ResAccConfig::default()));
         let handle = spawn("127.0.0.1:0", session, ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let m = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[0,199],[5,6]]}"#);
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
+        let m = exchange_json(
+            &mut stream,
+            r#"{"id":1,"op":"insert_edges","edges":[[0,199],[5,6]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("version").unwrap().as_u64(), Some(1));
-        let m = roundtrip(&mut stream, r#"{"id":2,"op":"delete_node","node":7}"#);
+        let m =
+            exchange_json(&mut stream, r#"{"id":2,"op":"delete_node","node":7}"#, None).unwrap();
         assert_eq!(m.get("version").unwrap().as_u64(), Some(2));
-        let expected = roundtrip(
+        let expected = exchange_json(
             &mut stream,
             r#"{"id":3,"op":"query","source":0,"seed":42,"full":true}"#,
-        );
+            None,
+        )
+        .unwrap();
         drop(stream);
         handle.shutdown().unwrap(); // drain + checkpoint
 
@@ -1360,8 +1385,8 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let s = roundtrip(&mut stream, r#"{"op":"stats"}"#);
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
+        let s = exchange_json(&mut stream, r#"{"op":"stats"}"#, None).unwrap();
         let stats = s.get("stats").unwrap();
         assert_eq!(
             stats.get("wal_records_replayed").unwrap().as_u64(),
@@ -1369,10 +1394,12 @@ mod tests {
         );
         assert_eq!(stats.get("snapshots_loaded").unwrap().as_u64(), Some(1));
         assert!(s.get("durability").is_some(), "live WAL counters exposed");
-        let replay = roundtrip(
+        let replay = exchange_json(
             &mut stream,
             r#"{"id":3,"op":"query","source":0,"seed":42,"full":true}"#,
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(
             replay.get("scores").unwrap().render(),
             expected.get("scores").unwrap().render(),
@@ -1424,13 +1451,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
         // Mutations bounce with a typed error naming the primary.
-        let r = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#);
+        let r = exchange_json(
+            &mut stream,
+            r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("error").unwrap().as_str(), Some("read_only"));
         assert!(r.get("detail").unwrap().as_str().unwrap().contains(&repl_addr));
         // Queries flow, and stats expose the replica's applied version.
-        let s = roundtrip(&mut stream, r#"{"id":2,"op":"stats"}"#);
+        let s = exchange_json(&mut stream, r#"{"id":2,"op":"stats"}"#, None).unwrap();
         let repl = s.get("replication").unwrap();
         assert_eq!(repl.get("role").unwrap().as_str(), Some("replica"));
         assert_eq!(repl.get("read_only").unwrap().as_bool(), Some(true));
@@ -1440,15 +1472,23 @@ mod tests {
         );
         assert_eq!(repl.get("primary").unwrap().as_str(), Some(repl_addr.as_str()));
         // Promote: drains the stream, flips writable at the applied version.
-        let p = roundtrip(&mut stream, r#"{"id":3,"op":"promote"}"#);
+        let p = exchange_json(&mut stream, r#"{"id":3,"op":"promote"}"#, None).unwrap();
         assert_eq!(p.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(p.get("version").unwrap().as_u64(), Some(primary.version()));
         assert_eq!(p.get("epoch").unwrap().as_u64(), Some(1), "promotion bumps the epoch");
-        let again = roundtrip(&mut stream, r#"{"id":4,"op":"promote"}"#);
+        let again = exchange_json(&mut stream, r#"{"id":4,"op":"promote"}"#, None).unwrap();
         assert_eq!(again.get("ok").unwrap().as_bool(), Some(false));
         // Mutations now land locally.
-        let m = roundtrip(&mut stream, r#"{"id":5,"op":"insert_edges","edges":[[1,2]]}"#);
-        assert_eq!(m.get("version").unwrap().as_u64(), Some(primary.version() + 1));
+        let m = exchange_json(
+            &mut stream,
+            r#"{"id":5,"op":"insert_edges","edges":[[1,2]]}"#,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            m.get("version").unwrap().as_u64(),
+            Some(primary.version() + 1)
+        );
         drop(stream);
         handle.shutdown().unwrap();
         repl_server.shutdown();
@@ -1471,21 +1511,36 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
         // Writable at first.
-        let m = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#);
+        let m = exchange_json(
+            &mut stream,
+            r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
         // A fence lands (what the fence hook performs after demotion).
         role.demote(3, "10.0.0.9:7000".to_string(), None);
-        let r = roundtrip(&mut stream, r#"{"id":2,"op":"insert_edges","edges":[[2,3]]}"#);
+        let r = exchange_json(
+            &mut stream,
+            r#"{"id":2,"op":"insert_edges","edges":[[2,3]]}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("error").unwrap().as_str(), Some("fenced"));
         assert_eq!(r.get("current_epoch").unwrap().as_u64(), Some(3));
         assert_eq!(r.get("leader").unwrap().as_str(), Some("10.0.0.9:7000"));
         // Queries still flow on the demoted node, and stats say fenced.
-        let q = roundtrip(&mut stream, r#"{"id":3,"op":"query","source":0,"seed":7}"#);
+        let q = exchange_json(
+            &mut stream,
+            r#"{"id":3,"op":"query","source":0,"seed":7}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(q.get("ok").unwrap().as_bool(), Some(true));
-        let s = roundtrip(&mut stream, r#"{"id":4,"op":"stats"}"#);
+        let s = exchange_json(&mut stream, r#"{"id":4,"op":"stats"}"#, None).unwrap();
         let repl = s.get("replication").unwrap();
         assert_eq!(repl.get("fenced").unwrap().as_bool(), Some(true));
         assert_eq!(repl.get("role").unwrap().as_str(), Some("replica"));
@@ -1903,9 +1958,14 @@ mod tests {
             loris.push(s);
         }
         // A real client gets served promptly in the meantime.
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(&handle.addr().to_string(), None).unwrap();
         let started = Instant::now();
-        let ok = roundtrip(&mut stream, r#"{"id":1,"op":"query","source":0,"seed":4}"#);
+        let ok = exchange_json(
+            &mut stream,
+            r#"{"id":1,"op":"query","source":0,"seed":4}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -2010,7 +2070,7 @@ mod tests {
             let workers: Vec<_> = (0..CONNS)
                 .map(|t| {
                     scope.spawn(move || {
-                        let mut stream = TcpStream::connect(addr).unwrap();
+                        let mut stream = connect(&addr.to_string(), None).unwrap();
                         let mut last_version = 0u64;
                         let mut my_panic_queries = 0u64;
                         for i in 0..PER {
@@ -2038,7 +2098,7 @@ mod tests {
                                 }
                             };
                             let is_query = request.contains("\"op\":\"query\"");
-                            let r = roundtrip(&mut stream, &request);
+                            let r = exchange_json(&mut stream, &request, None).unwrap();
                             // Exactly one response, and it is *ours*.
                             assert_eq!(r.get("id").unwrap().as_u64(), Some(id), "{request}");
                             let ok = r.get("ok").unwrap().as_bool() == Some(true);
@@ -2070,14 +2130,19 @@ mod tests {
 
         // The panics metric matches the injected count exactly, and the
         // server is still fully functional after all of it.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let s = roundtrip(&mut stream, r#"{"id":1,"op":"stats"}"#);
+        let mut stream = connect(&addr.to_string(), None).unwrap();
+        let s = exchange_json(&mut stream, r#"{"id":1,"op":"stats"}"#, None).unwrap();
         assert_eq!(
             s.get("stats").unwrap().get("panics").unwrap().as_u64(),
             Some(sent_panic_queries),
             "panics metric must equal the fault-selected query count"
         );
-        let q = roundtrip(&mut stream, r#"{"id":2,"op":"query","source":1,"seed":3}"#);
+        let q = exchange_json(
+            &mut stream,
+            r#"{"id":2,"op":"query","source":1,"seed":3}"#,
+            None,
+        )
+        .unwrap();
         assert_eq!(q.get("ok").unwrap().as_bool(), Some(true));
         drop(stream);
         handle.shutdown().unwrap();

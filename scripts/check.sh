@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must be green before a change lands.
 #   1. release build of the whole workspace
-#   2. full test suite
+#   2. full test suite, then the process-spawning CLI suites (router,
+#      shard, replication, crash_recovery, cli_integration) 3 more times
 #   3. clippy with warnings promoted to errors
 #   4. chaos smoke: a seeded fault-injection run against a real server must
 #      sustain the load, contain every injected panic, and drain cleanly
@@ -87,6 +88,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> process-spawning CLI suites, repeated 3 times (a flake is a bug)"
+for _ in 1 2 3; do
+  cargo test -q -p resacc-cli --test router --test shard --test replication \
+    --test crash_recovery --test cli_integration
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
